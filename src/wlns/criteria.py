@@ -22,7 +22,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from wlns.field import ScalarField, VectorField
-from wlns.lorentz import lebesgue_norm, weak_norm
+from wlns.gronwall import psi
+from wlns.lorentz import DistributionFunction, lebesgue_norm, weak_norm
 
 E = math.e
 
@@ -100,13 +101,6 @@ def integrand_remark(m: ScalarField, q: float, p: float) -> float:
     return weak_norm(damped_magnitude(m), q).value ** p
 
 
-def psi(r):
-    """Superlinear comparison function ``r * (e + log(e + r))``."""
-    r = np.asarray(r, dtype=np.float64)
-    out = r * (E + np.log(E + r))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class DominationReport:
     min_margin: float
@@ -146,23 +140,27 @@ class TraceRow:
 
 
 def evaluate_row(u: VectorField, q: float, t: float) -> TraceRow:
-    """All trace norms and integrands for one velocity snapshot."""
+    """All trace norms and integrands for one velocity snapshot.
+
+    The damped magnitude is strictly increasing in ``|u|``, so one
+    distribution table of ``|u|`` serves both weak norms and ``remark``.
+    """
     exps = derive_exponents(q)
     m = u.magnitude()
+    dist = DistributionFunction.from_data(m)
     sup_norm = m.max_abs()
-    wq = weak_norm(m, q).value
+    wq = dist.weak_max(q)
     sq = lebesgue_norm(m, q).value
-    wsig = weak_norm(m, exps.sigma).value
     return TraceRow(
         t=t,
         sup_norm=sup_norm,
         weak_q=wq,
         strong_q=sq,
-        weak_sigma=wsig,
+        weak_sigma=dist.weak_max(exps.sigma),
         i_lps=integrand_lps(sq, exps.p),
         i_zl=integrand_zhoulei(sup_norm, sq, exps.p),
         i_wlog=integrand_weaklog(sup_norm, wq, exps.p),
-        i_remark=integrand_remark(m, q, exps.p),
+        i_remark=dist.weak_max(q, damped_magnitude) ** exps.p,
     )
 
 

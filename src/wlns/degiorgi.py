@@ -19,21 +19,16 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from wlns.field import (
-    Grid,
-    ScalarField,
-    VectorField,
-    ball_boundary_cells,
-    ball_mask,
-    forward_transform,
-    gradient,
-)
+from wlns.field import Grid, ScalarField, VectorField, ball_boundary_cells, ball_mask
 from wlns.nse_solver import (
     CutoffFunction,
     SimulationResult,
+    _balance_terms,
+    _rate_residual,
+    _snapshot_step,
+    constant_one,
     cylinder_cutoff,
-    pressure_from_velocity,
-    velocity_gradient_energy,
+    gradient_squares,
 )
 
 
@@ -116,16 +111,13 @@ def truncate(u: VectorField | ScalarField, k: int) -> ScalarField:
     return ScalarField(m.grid, np.maximum(np.abs(m.values) - truncation_threshold(k), 0.0))
 
 
-def _gradient_squares(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """``|grad u|^2`` and ``|grad |u||^2``, both spectral."""
-    grad2 = np.zeros(u.grid.shape)
-    for c in u.components:
-        for part in gradient(forward_transform(c)).components:
-            grad2 += part.values**2
-    mag2 = np.zeros(u.grid.shape)
-    for part in gradient(forward_transform(u.magnitude())).components:
-        mag2 += part.values**2
-    return grad2, mag2
+def _density(k: int, m, v, grad2, mag_grad2) -> np.ndarray:
+    """``d_k^2`` for ``k >= 1`` from ``|u|``, ``v_k``, ``|grad u|^2``, ``|grad|u||^2``."""
+    active = v > 0.0
+    safe_m = np.where(active, m, 1.0)  # on the active set m >= theta_k > 0
+    return np.where(
+        active, (v * grad2 + truncation_threshold(k) * mag_grad2) / safe_m, 0.0
+    )
 
 
 def dissipation_density(u: VectorField, k: int) -> ScalarField:
@@ -137,17 +129,12 @@ def dissipation_density(u: VectorField, k: int) -> ScalarField:
     """
     if k < 0:
         raise ValueError("level must be >= 0")
-    grad2, mag_grad2 = _gradient_squares(u)
+    grad2 = gradient_squares(u)
     if k == 0:
         return ScalarField(u.grid, grad2)
-    m = u.magnitude().values
-    v = np.maximum(m - truncation_threshold(k), 0.0)
-    active = v > 0.0
-    safe_m = np.where(active, m, 1.0)  # on the active set m >= theta_k > 0
-    density = np.where(
-        active, (v * grad2 + truncation_threshold(k) * mag_grad2) / safe_m, 0.0
-    )
-    return ScalarField(u.grid, density)
+    m = u.magnitude()
+    v = np.maximum(m.values - truncation_threshold(k), 0.0)
+    return ScalarField(u.grid, _density(k, m.values, v, grad2, gradient_squares(m)))
 
 
 @dataclass(frozen=True)
@@ -217,9 +204,9 @@ def level_energy(
     magnitudes = []
     grads = []
     for u in result.snapshots:
-        grad2, mag_grad2 = _gradient_squares(u)
-        magnitudes.append(s * u.magnitude().values)
-        grads.append((s**4 * grad2, s**4 * mag_grad2))
+        m = u.magnitude()
+        magnitudes.append(s * m.values)
+        grads.append((s**4 * gradient_squares(u), s**4 * gradient_squares(m)))
 
     ks, starts, radii, thresholds = [], [], [], []
     sups, disses, brackets = [], [], []
@@ -249,11 +236,7 @@ def level_energy(
             if k == 0:
                 density = grads[idx][0]
             else:
-                active = v > 0.0
-                safe = np.where(active, magnitudes[idx], 1.0)
-                density = np.where(
-                    active, (v * grads[idx][0] + theta * grads[idx][1]) / safe, 0.0
-                )
+                density = _density(k, magnitudes[idx], v, *grads[idx])
             diss_series.append(float(np.sum(density[mask])) * grid.cell_volume)
         # density is already the reference one; the time integral runs in
         # tau, so only the volume element dxi = s^{-3} dx remains
@@ -452,7 +435,6 @@ def energy_budget(
     result: SimulationResult,
     eta: CutoffFunction | None = None,
     cmap: CylinderMap | None = None,
-    time_order: int = 4,
 ) -> EnergyBudgetReport:
     """Term-by-term localized energy inequality along a trajectory.
 
@@ -464,58 +446,36 @@ def energy_budget(
     The slack series is ``int_{t_0}^{t} (transport + flux - dissipation)
     - [kinetic(t) - kinetic(t_0)]/2``, which is nonnegative up to
     discretization for smooth solutions; the rate residual is its
-    derivative counterpart on interior snapshots.
+    derivative counterpart on interior snapshots, of 4th order from five
+    snapshots on and 2nd order below.  The centred differences need
+    uniformly spaced snapshots; a run whose ``t_end`` is not a multiple of
+    the snapshot cadence ends on a shorter gap and raises ``ValueError``.
+    Both series come from the same balance terms as
+    :func:`wlns.nse_solver.energy_residual`, with ``kinetic`` twice its
+    ``quadratic``.
     """
     if eta is None:
-        from wlns.nse_solver import constant_one
-
         eta = constant_one()
     elif cmap is not None:
         _validate_support(result, eta, cmap)
 
-    grid = result.grid
     times = np.asarray(result.times)
     if len(times) < 3:
         raise ValueError("budget needs at least 3 snapshots")
-    vol = grid.cell_volume
-    n_t = len(times)
-    kinetic = np.empty(n_t)
-    dissipation = np.empty(n_t)
-    transport = np.empty(n_t)
-    flux = np.empty(n_t)
-    for i, (t, u) in enumerate(zip(times, result.snapshots)):
-        w = eta.value(grid, t)
-        u2 = sum(c.values**2 for c in u.components)
-        kinetic[i] = float(np.sum(u2 * w)) * vol
-        dissipation[i] = velocity_gradient_energy(u, weight=w)
-        transport[i] = (
-            float(np.sum(0.5 * u2 * (eta.time_derivative(grid, t) + eta.laplacian(grid, t))))
-            * vol
-        )
-        grad_eta = eta.gradient(grid, t)
-        advect = sum(c.values * grad_eta[j] for j, c in enumerate(u.components))
-        pressure = pressure_from_velocity(u, result.config.dealias_fraction).values
-        flux[i] = float(np.sum(advect * (0.5 * u2 + pressure))) * vol
-
+    h = _snapshot_step(times)
+    terms = _balance_terms(result, eta)
+    residual_times, rate = _rate_residual(times, h, terms, 4 if len(times) >= 5 else 2)
+    kinetic = 2.0 * terms["quadratic"]
+    transport, flux, dissipation = terms["transport"], terms["flux"], terms["dissipation"]
     gain = cumulative_trapezoid(transport + flux - dissipation, times, initial=0.0)
-    slack = gain - 0.5 * (kinetic - kinetic[0])
-
-    h = float(times[1] - times[0])
-    if time_order == 4 and n_t >= 5:
-        lo, hi = 2, n_t - 2
-        ddt = (-kinetic[4:] + 8 * kinetic[3:-1] - 8 * kinetic[1:-3] + kinetic[:-4]) / (12 * h)
-    else:
-        lo, hi = 1, n_t - 1
-        ddt = (kinetic[2:] - kinetic[:-2]) / (2 * h)
-    rate = 0.5 * ddt + dissipation[lo:hi] - transport[lo:hi] - flux[lo:hi]
     return EnergyBudgetReport(
         times=times,
         kinetic=kinetic,
         dissipation=dissipation,
         transport=transport,
         flux=flux,
-        slack=slack,
-        residual_times=times[lo:hi],
+        slack=gain - 0.5 * (kinetic - kinetic[0]),
+        residual_times=residual_times,
         rate_residual=rate,
     )
 

@@ -9,7 +9,7 @@ time signals that are piecewise constant on intervals.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +46,8 @@ class DistributionFunction:
     ``thresholds`` holds the distinct data levels in increasing order;
     ``measure_geq[i]`` is the measure of ``{|f| >= thresholds[i]}`` (the
     left limit of the distribution function there) and ``measure_gt[i]``
-    the measure of the strict super-level set.
+    the measure of the strict super-level set.  Tables of cells with
+    unequal measures have no single ``cell_measure`` and store ``nan``.
     """
 
     thresholds: np.ndarray
@@ -70,6 +71,20 @@ class DistributionFunction:
             total_measure=absv.size * measure,
         )
 
+    @classmethod
+    def _from_lengths(cls, values: np.ndarray, lengths: np.ndarray) -> "DistributionFunction":
+        """Table of nonnegative ``values``, cell ``i`` having measure ``lengths[i]``."""
+        levels, inverse = np.unique(values, return_inverse=True)
+        mass = np.bincount(inverse, weights=lengths, minlength=levels.size)
+        geq = np.cumsum(mass[::-1])[::-1]
+        return cls(
+            thresholds=levels,
+            measure_geq=geq,
+            measure_gt=geq - mass,
+            cell_measure=math.nan,
+            total_measure=float(lengths.sum()),
+        )
+
     def __call__(self, alpha: float) -> float:
         """Measure of the strict super-level set ``{|f| > alpha}``."""
         if alpha < 0:
@@ -78,6 +93,22 @@ class DistributionFunction:
         if idx == len(self.thresholds):
             return 0.0
         return float(self.measure_geq[idx])
+
+    def weak_max(self, q: float, level_map=None) -> float:
+        """``max_i g(v_i) * measure{|f| >= v_i}^(1/q)`` over the positive levels.
+
+        With ``g`` the identity (``level_map=None``) this is the weak-``L^q``
+        quasinorm of ``f``.  A strictly increasing ``g`` with ``g(0) = 0``
+        keeps the super-level sets, so the value is then the quasinorm of
+        ``g(|f|)`` without a second table.
+        """
+        nz = self.thresholds > 0
+        if not np.any(nz):
+            return 0.0
+        levels = self.thresholds[nz]
+        if level_map is not None:
+            levels = level_map(levels)
+        return float(np.max(levels * self.measure_geq[nz] ** (1.0 / q)))
 
 
 @dataclass(frozen=True)
@@ -90,23 +121,10 @@ class NormReport:
     value: float
     domain_measure: float
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "r": self.r,
-            "value": self.value,
-            "measure": self.domain_measure,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
 
 def distribution(f, alpha: float, region=None, cell_measure=None) -> float:
     """Measure of ``{|f| > alpha}``; an empty region simply measures 0."""
-    absv, measure = _values_and_measure(f, region, cell_measure)
-    return float(np.count_nonzero(absv > alpha)) * measure
+    return DistributionFunction.from_data(f, region, cell_measure)(alpha)
 
 
 def weak_norm(f, q: float, region=None, cell_measure=None) -> NormReport:
@@ -119,14 +137,7 @@ def weak_norm(f, q: float, region=None, cell_measure=None) -> NormReport:
     if not q > 0:
         raise ValueError("weak norm exponent must be positive")
     dist = DistributionFunction.from_data(f, region, cell_measure)
-    nz = dist.thresholds > 0
-    if not np.any(nz):
-        value = 0.0
-    else:
-        value = float(
-            np.max(dist.thresholds[nz] * dist.measure_geq[nz] ** (1.0 / q))
-        )
-    return NormReport("weak", q, None, value, dist.total_measure)
+    return NormReport("weak", q, None, dist.weak_max(q), dist.total_measure)
 
 
 def lebesgue_norm(f, p: float, region=None, cell_measure=None) -> NormReport:
@@ -187,35 +198,22 @@ def lorentz_time_norm(
     if lengths is None:
         if not dt > 0:
             raise ValueError("dt must be positive")
-        weights = np.full(values.shape, float(dt))
+        dist = DistributionFunction.from_data(values, cell_measure=dt)
     else:
         weights = np.asarray(lengths, dtype=np.float64).ravel()
         if weights.shape != values.shape or np.any(weights <= 0):
             raise ValueError("lengths must match the signal and be positive")
-    total = float(weights.sum())
+        dist = DistributionFunction._from_lengths(values, weights)
 
     if np.isinf(r):
-        levels = np.unique(values)
-        nz = levels > 0
-        if not np.any(nz):
-            return NormReport("lorentz", p, float("inf"), 0.0, total)
-        geq = np.array(
-            [weights[values >= v].sum() for v in levels[nz]]
-        )
-        value = float(np.max(levels[nz] * geq ** (1.0 / p)))
-        return NormReport("lorentz", p, float("inf"), value, total)
-
+        return NormReport("lorentz", p, float("inf"), dist.weak_max(p), dist.total_measure)
     if not r > 0:
         raise ValueError("secondary exponent must be positive")
-    levels = np.unique(values)
-    if levels[0] == 0.0 and levels.size == 1:
-        return NormReport("lorentz", p, r, 0.0, total)
-    pos = levels[levels > 0]
-    geq = np.array([weights[values >= v].sum() for v in pos])
-    powers = pos**r
+    nz = dist.thresholds > 0
+    powers = dist.thresholds[nz] ** r
     prev = np.concatenate(([0.0], powers[:-1]))
-    integral = (p / r) * float(np.sum((powers - prev) * geq ** (r / p)))
-    return NormReport("lorentz", p, r, integral ** (1.0 / r), total)
+    integral = (p / r) * float(np.sum((powers - prev) * dist.measure_geq[nz] ** (r / p)))
+    return NormReport("lorentz", p, r, integral ** (1.0 / r), dist.total_measure)
 
 
 # ---------------------------------------------------------------------------

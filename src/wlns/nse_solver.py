@@ -22,6 +22,7 @@ import numpy as np
 
 from wlns.criteria import CriterionTrace, TraceRow, evaluate_row
 from wlns.field import Grid, ScalarField, VectorField, forward_transform, inverse_transform
+from wlns.field import gradient as field_gradient
 
 
 class BlowUpError(RuntimeError):
@@ -538,58 +539,36 @@ class EnergyResidualReport:
     terms: dict  # per-snapshot integral series keyed by name
 
 
+def gradient_squares(f: ScalarField | VectorField) -> np.ndarray:
+    """Pointwise ``|grad f|^2``: every spectral first derivative squared and summed.
+
+    A vector field gives the nine-derivative ``|grad u|^2``.
+    """
+    total = np.zeros(f.grid.shape)
+    for component in f.components if isinstance(f, VectorField) else (f,):
+        for part in field_gradient(component).components:
+            total += part.values**2
+    return total
+
+
 def velocity_gradient_energy(u: VectorField, weight: np.ndarray | None = None) -> float:
     """``integral w |grad u|^2`` with all nine derivatives spectral."""
-    from wlns.field import gradient as field_gradient
-
-    total = np.zeros(u.grid.shape)
-    for c in u.components:
-        g = field_gradient(forward_transform(c))
-        for part in g.components:
-            total += part.values**2
+    total = gradient_squares(u)
     if weight is not None:
         total = total * weight
     return float(np.sum(total)) * u.grid.cell_volume
 
 
-def energy_residual(
-    result: SimulationResult,
-    cutoff: CutoffFunction | None = None,
-    time_order: int = 4,
-    dealias_fraction: float | None = None,
-) -> EnergyResidualReport:
-    """Defect of the localized energy balance along a stored trajectory.
-
-    For each interior snapshot time it evaluates ``d/dt int phi |u|^2/2
-    + int phi |grad u|^2 - int (|u|^2/2)(phi_t + Lap phi) - int (u . grad
-    phi)(|u|^2/2 + P)``; the time derivative uses centered differences of
-    the stated order, so the report shrinks under refinement for smooth
-    runs.
-    """
-    if cutoff is None:
-        cutoff = constant_one()
-    times = result.times
-    needed = 5 if time_order == 4 else 3
-    if time_order not in (2, 4):
-        raise ValueError("time_order must be 2 or 4")
-    if len(times) < needed:
-        raise ValueError(f"need at least {needed} snapshots for order {time_order}")
-    spacing = np.diff(times)
-    h = float(spacing[0])
-    if not np.allclose(spacing, h, rtol=1e-9, atol=1e-12):
-        raise ValueError("energy residual requires uniformly spaced snapshots")
-
+def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
+    """Per-snapshot integrals of the localized energy balance against ``cutoff``."""
     grid = result.grid
     vol = grid.cell_volume
-    fraction = (
-        result.config.dealias_fraction if dealias_fraction is None else dealias_fraction
-    )
-
-    quadratic = np.empty(len(times))  # int phi |u|^2 / 2
-    dissipation = np.empty(len(times))  # int phi |grad u|^2
-    transport = np.empty(len(times))  # int (|u|^2/2)(phi_t + lap phi)
-    flux = np.empty(len(times))  # int (u . grad phi)(|u|^2/2 + P)
-    for idx, (t, u) in enumerate(zip(times, result.snapshots)):
+    n_t = len(result.times)
+    quadratic = np.empty(n_t)  # int phi |u|^2 / 2
+    dissipation = np.empty(n_t)  # int phi |grad u|^2
+    transport = np.empty(n_t)  # int (|u|^2/2)(phi_t + lap phi)
+    flux = np.empty(n_t)  # int (u . grad phi)(|u|^2/2 + P)
+    for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
         phi = cutoff.value(grid, t)
         u2_half = 0.5 * sum(c.values**2 for c in u.components)
         quadratic[idx] = np.sum(phi * u2_half) * vol
@@ -600,26 +579,74 @@ def energy_residual(
         )
         grad_phi = cutoff.gradient(grid, t)
         advect = sum(c.values * grad_phi[i] for i, c in enumerate(u.components))
-        pressure = pressure_from_velocity(u, fraction).values
+        pressure = pressure_from_velocity(u, result.config.dealias_fraction).values
         flux[idx] = np.sum(advect * (u2_half + pressure)) * vol
+    return {
+        "quadratic": quadratic,
+        "dissipation": dissipation,
+        "transport": transport,
+        "flux": flux,
+    }
 
+
+def _snapshot_step(times: np.ndarray) -> float:
+    """The common spacing of ``times``, which the centred differences need."""
+    spacing = np.diff(times)
+    h = float(spacing[0])
+    if not np.allclose(spacing, h, rtol=1e-9, atol=1e-12):
+        raise ValueError("energy residual requires uniformly spaced snapshots")
+    return h
+
+
+def _rate_residual(
+    times: np.ndarray, h: float, terms: dict, time_order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balance defect ``d/dt quadratic + dissipation - transport - flux``.
+
+    The derivative is the centred difference of ``time_order`` (2 or 4) with
+    step ``h``, so the result lives on the interior snapshots, whose times
+    are returned with it.
+    """
+    q = terms["quadratic"]
     if time_order == 2:
         lo, hi = 1, len(times) - 1
-        ddt = (quadratic[2:] - quadratic[:-2]) / (2.0 * h)
+        ddt = (q[2:] - q[:-2]) / (2.0 * h)
     else:
         lo, hi = 2, len(times) - 2
-        ddt = (
-            -quadratic[4:] + 8.0 * quadratic[3:-1] - 8.0 * quadratic[1:-3] + quadratic[:-4]
-        ) / (12.0 * h)
-    residual = ddt + dissipation[lo:hi] - transport[lo:hi] - flux[lo:hi]
+        ddt = (-q[4:] + 8.0 * q[3:-1] - 8.0 * q[1:-3] + q[:-4]) / (12.0 * h)
+    residual = (
+        ddt + terms["dissipation"][lo:hi] - terms["transport"][lo:hi] - terms["flux"][lo:hi]
+    )
+    return times[lo:hi], residual
+
+
+def energy_residual(
+    result: SimulationResult,
+    cutoff: CutoffFunction | None = None,
+    time_order: int = 4,
+) -> EnergyResidualReport:
+    """Defect of the localized energy balance along a stored trajectory.
+
+    For each interior snapshot time it evaluates ``d/dt int phi |u|^2/2
+    + int phi |grad u|^2 - int (|u|^2/2)(phi_t + Lap phi) - int (u . grad
+    phi)(|u|^2/2 + P)``; the time derivative uses centered differences of
+    the stated order, so the report shrinks under refinement for smooth
+    runs.  The pressure is dealiased as the run was.
+    """
+    if cutoff is None:
+        cutoff = constant_one()
+    times = result.times
+    needed = 5 if time_order == 4 else 3
+    if time_order not in (2, 4):
+        raise ValueError("time_order must be 2 or 4")
+    if len(times) < needed:
+        raise ValueError(f"need at least {needed} snapshots for order {time_order}")
+    h = _snapshot_step(times)
+    terms = _balance_terms(result, cutoff)
+    interior, residual = _rate_residual(times, h, terms, time_order)
     return EnergyResidualReport(
-        times=times[lo:hi],
+        times=interior,
         residual=residual,
         max_abs=float(np.max(np.abs(residual))) if len(residual) else 0.0,
-        terms={
-            "quadratic": quadratic,
-            "dissipation": dissipation,
-            "transport": transport,
-            "flux": flux,
-        },
+        terms=terms,
     )

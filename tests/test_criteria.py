@@ -155,6 +155,16 @@ class TestEvaluateRow:
         assert row.i_zl == pytest.approx(strong**4 / (1 + math.log(E + 3.0)), rel=1e-12)
         assert row.i_wlog == pytest.approx(weak**4 / (E + math.log(E + 3.0)), rel=1e-12)
 
+        sigma = 7.5  # 3(q - 1)/2
+        weak_sigma = max(3.0 * mu_hi ** (1 / sigma), 1.0 * grid.volume ** (1 / sigma))
+        assert row.weak_sigma == pytest.approx(weak_sigma, rel=1e-12)
+
+        def g(m):
+            return m / (E + math.log(E + m))
+
+        remark = max(g(3.0) * mu_hi ** (1 / q), g(1.0) * grid.volume ** (1 / q)) ** 4
+        assert row.i_remark == pytest.approx(remark, rel=1e-12)
+
     def test_integrand_ordering_on_random_fields(self):
         # damped variants never exceed the classical integrand
         grid = Grid(n=12, length=2 * np.pi)

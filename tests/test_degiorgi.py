@@ -403,6 +403,15 @@ class TestEnergyBudget:
         with pytest.raises(ValueError, match="before the mapped window"):
             energy_budget(result, eta=early, cmap=BUDGET_MAP)
 
+    def test_rejects_nonuniform_snapshots(self):
+        # 21 steps at cadence 4: the last gap is 1e-3 after gaps of 4e-3, so a
+        # centred difference with the first gap as its step is meaningless
+        config = SolverConfig(viscosity=1.0, dt=1e-3, t_end=0.021, snapshot_every=4)
+        result = run(taylor_green(Grid(16)), config)
+        assert np.diff(result.times)[-1] == pytest.approx(1e-3)
+        with pytest.raises(ValueError, match="uniformly spaced snapshots"):
+            energy_budget(result)
+
     def test_needs_three_snapshots(self):
         grid = Grid(8)
         u = vector_of(grid, 0.0, 0.0, 0.0)

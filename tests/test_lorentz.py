@@ -143,7 +143,48 @@ class TestLayerCake:
             assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
 
 
+def reference_lorentz_time_norm(signal, p, r, dt=None, lengths=None):
+    """Direct evaluation: ``measure{g >= v}`` summed afresh for every level.
+
+    Quadratic in the signal length; kept as the oracle for the table-based
+    :func:`lorentz_time_norm`.  Returns ``(value, total measure)``.
+    """
+    values = np.asarray(signal, dtype=np.float64).ravel()
+    if lengths is None:
+        weights = np.full(values.shape, float(dt))
+    else:
+        weights = np.asarray(lengths, dtype=np.float64).ravel()
+    total = float(weights.sum())
+    levels = np.unique(values)
+    pos = levels[levels > 0]
+    if pos.size == 0:
+        return 0.0, total
+    geq = np.array([weights[values >= v].sum() for v in pos])
+    if np.isinf(r):
+        return float(np.max(pos * geq ** (1.0 / p))), total
+    powers = pos**r
+    prev = np.concatenate(([0.0], powers[:-1]))
+    integral = (p / r) * float(np.sum((powers - prev) * geq ** (r / p)))
+    return integral ** (1.0 / r), total
+
+
 class TestLorentzTimeNorm:
+    def test_matches_direct_reference(self):
+        rng = np.random.default_rng(2024)
+        for size in (1, 2, 9, 64, 500, 2000):
+            for style in range(5):
+                # style 4 is the all-zero signal
+                v = random_positive(rng, size, style) if style < 4 else np.zeros(size)
+                p = float(rng.uniform(1.2, 6.0))
+                dt = float(rng.uniform(1e-3, 1.0))
+                lengths = rng.uniform(1e-3, 1.0, size)
+                for r in (1.5, 2.0, p, np.inf):
+                    for cells in ({"dt": dt}, {"lengths": lengths}):
+                        rep = lorentz_time_norm(v, p, r, **cells)
+                        value, total = reference_lorentz_time_norm(v, p, r, **cells)
+                        assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0)
+                        assert rep.domain_measure == pytest.approx(total, rel=1e-12, abs=0.0)
+
     def test_constant_signal(self):
         # analytic value c * T^(1/p) * (p/r)^(1/r); equals c*T^(1/p) iff r == p
         c, T, p, r = 2.0, 1.5, 4.0, 2.0
