@@ -33,8 +33,11 @@ _THREAD_ENV_VARS = (
 def _apply_thread_cap(threads: Optional[int]) -> Optional[int]:
     """Resolve the thread cap (flag beats WLNS_THREADS) and export it.
 
-    The cap is pushed into the usual BLAS/OpenMP environment variables so
-    any lazily created pools respect it; outputs must not depend on it.
+    :func:`main` runs the subcommand with the cap as the ``scipy.fft``
+    worker count.  The cap is also pushed into the usual BLAS/OpenMP
+    environment variables, which reach only pools created after this point
+    (child processes, libraries not yet loaded); outputs must not depend
+    on it.
     """
     if threads is None:
         env = os.environ.get("WLNS_THREADS")
@@ -503,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="cap internal thread pools (fallback: WLNS_THREADS); "
-        "outputs are identical for any cap",
+        help="worker threads of the scipy.fft transforms (the solver and "
+        "pressure); also exported to OMP/OPENBLAS/MKL_NUM_THREADS for child "
+        "processes (fallback: WLNS_THREADS); outputs are identical for any cap",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -569,7 +573,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.threads_resolved = _apply_thread_cap(args.threads)
     except SystemExit as exc:
         return _fail(str(exc))
-    return args.func(args)
+    if args.threads_resolved is None:
+        return args.func(args)
+    import scipy.fft
+
+    with scipy.fft.set_workers(args.threads_resolved):
+        return args.func(args)
 
 
 if __name__ == "__main__":

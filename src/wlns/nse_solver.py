@@ -1,7 +1,9 @@
 """Pseudo-spectral incompressible flow on the periodic box.
 
-Velocity lives in Fourier space as a ``(3, n, n, n)`` complex array of
-modes.  Time stepping is classical RK4 on the nonlinear term with the
+Velocity lives in Fourier space as the real-FFT half spectrum, a
+``(3, n, n, n//2+1)`` complex array of modes (``rfftn`` normalised by
+``n**3``); masks, derivative symbols and viscous factors are built once
+per grid.  Time stepping is classical RK4 on the nonlinear term with the
 viscous semigroup handled exactly by an integrating factor, so a pure
 heat mode decays with machine-precision accuracy at any step size.
 Quadratic products are formed in physical space and dealiased by the
@@ -15,13 +17,16 @@ space-time cutoff; both feed the regularity diagnostics downstream.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 
 from wlns.criteria import CriterionTrace, TraceRow, evaluate_row
-from wlns.field import Grid, ScalarField, VectorField, forward_transform, inverse_transform
+from wlns.field import TWO_PI, Grid, ScalarField, VectorField
 from wlns.field import gradient as field_gradient
 
 
@@ -117,12 +122,9 @@ def random_divfree(
     if max_mode is None:
         max_mode = grid.n // 4
     rng = np.random.default_rng(seed)
-    modes = np.stack(
-        [forward_transform(ScalarField(grid, rng.normal(size=grid.shape))).modes
-         for _ in range(3)]
-    )
+    modes = _forward(np.stack([rng.normal(size=grid.shape) for _ in range(3)]))
     keep = np.abs(grid.mode_numbers) <= max_mode
-    band = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+    band = keep[:, None, None] & keep[None, :, None] & keep[None, None, : modes.shape[-1]]
     modes *= band
     modes = leray_project(grid, modes)
     u = to_physical(grid, modes)
@@ -136,37 +138,100 @@ def random_divfree(
 
 # ---------------------------------------------------------------------------
 # spectral operators
+#
+# Real fields are held as half spectra: ``rfftn`` keeps the last-axis mode
+# numbers ``0..n/2``, which are exactly the first ``n/2 + 1`` entries of the
+# full FFT layout.  Masks and symbols are sliced to ``modes.shape[-1]``, so
+# the projection and the divergence defect accept either layout.
+
+_AXES = (-3, -2, -1)
+# the six distinct entries of the symmetric tensor u_i u_j, and where
+# entry (i, j) sits in that stack
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PAIR_INDEX = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+
+def _forward(values: np.ndarray) -> np.ndarray:
+    """Half-spectrum modes of real values, ``modes = fftn(values) / n**3``."""
+    return scipy.fft.rfftn(values, axes=_AXES, norm="forward")
+
+
+def _inverse(grid: Grid, modes: np.ndarray) -> np.ndarray:
+    """Real values of half-spectrum modes; inverse of :func:`_forward`."""
+    return scipy.fft.irfftn(modes, s=grid.shape, axes=_AXES, norm="forward")
+
+
+class _Operators:
+    """Spectral operators of one grid, built once and shared by every call.
+
+    The first-derivative symbols are broadcastable axes with the unpaired
+    Nyquist mode zeroed, the standard choice for odd-order spectral
+    derivatives of real data; ``k2`` is ``|k|^2`` built from them with zeros
+    mapped to 1.  Using the same symbols as the derivative operators keeps
+    the projection/pressure algebra Hermitian and exactly consistent with
+    them; the substituted 1 only appears where every symbol vanishes, and
+    there the numerators vanish too.  ``kz`` and ``k2`` keep the full last
+    axis so they can be sliced to either layout.  The dealias mask and the
+    viscous factors of a solver config are built on first use and kept.
+    """
+
+    def __init__(self, grid: Grid):
+        # only the grid's parameters: the cache entry must not keep it alive
+        self._n, self._length = grid.n, grid.length
+        self.half = grid.n // 2 + 1
+        self._k1 = (TWO_PI / grid.length) * grid.mode_numbers.astype(np.float64)
+        k1 = self._k1.copy()
+        k1[grid.n // 2] = 0.0
+        self.kx, self.ky, self.kz = k1[:, None, None], k1[None, :, None], k1[None, None, :]
+        k2 = self.kx**2 + self.ky**2 + self.kz**2
+        self.k2 = np.where(k2 > 0.0, k2, 1.0)
+        self._masks: dict[float, np.ndarray] = {}
+        self._decays: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def symbols(self, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(kx, ky, kz, k2)`` for modes whose last axis has ``width`` entries."""
+        return self.kx, self.ky, self.kz[..., :width], self.k2[..., :width]
+
+    def mask(self, fraction: float) -> np.ndarray:
+        """Half-spectrum part of ``Grid.dealias_mask(fraction)``."""
+        if fraction not in self._masks:
+            full = Grid(self._n, self._length).dealias_mask(fraction)
+            self._masks[fraction] = np.ascontiguousarray(full[..., : self.half])
+        return self._masks[fraction]
+
+    def decay(self, viscosity: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Viscous factors ``exp(-nu |k|^2 dt/2)`` and ``exp(-nu |k|^2 dt)``."""
+        if (viscosity, dt) not in self._decays:
+            k, kh = self._k1, self._k1[: self.half]
+            k_squared = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kh[None, None, :] ** 2
+            half = np.exp(-viscosity * k_squared * (dt / 2.0))
+            self._decays[viscosity, dt] = half, half * half
+        return self._decays[viscosity, dt]
+
+
+# one entry per live grid; equal grids share it, and it goes with the last
+_OPERATORS: weakref.WeakKeyDictionary[Grid, _Operators] = weakref.WeakKeyDictionary()
+
+
+def _operators(grid: Grid) -> _Operators:
+    ops = _OPERATORS.get(grid)
+    if ops is None:
+        ops = _OPERATORS[grid] = _Operators(grid)
+    return ops
 
 
 def to_spectral(u: VectorField) -> np.ndarray:
-    return np.stack([forward_transform(c).modes for c in u.components])
+    """Half-spectrum ``(3, n, n, n//2+1)`` modes of a velocity field."""
+    return _forward(u.as_array())
 
 
 def to_physical(grid: Grid, modes: np.ndarray) -> VectorField:
-    from wlns.field import SpectralField
-
-    return VectorField.from_arrays(
-        grid, *(inverse_transform(SpectralField(grid, modes[i])).values for i in range(3))
-    )
-
-
-def _symbol_k2(grid: Grid) -> np.ndarray:
-    """``|k|^2`` built from the first-derivative symbols, zeros mapped to 1.
-
-    Using the same Nyquist-zeroed symbols as the derivative operators keeps
-    the projection/pressure algebra Hermitian and exactly consistent with
-    them; the substituted 1 only appears where every symbol vanishes, and
-    there the numerators vanish too.
-    """
-    kx, ky, kz = grid.deriv_symbols
-    k2 = kx**2 + ky**2 + kz**2
-    return np.where(k2 > 0.0, k2, 1.0)
+    return VectorField.from_arrays(grid, *_inverse(grid, modes))
 
 
 def leray_project(grid: Grid, modes: np.ndarray) -> np.ndarray:
     """Mode-wise ``(I - k k^T / |k|^2)``; the mean mode passes through."""
-    kx, ky, kz = grid.deriv_symbols
-    k2 = _symbol_k2(grid)
+    kx, ky, kz, k2 = _operators(grid).symbols(modes.shape[-1])
     compression = (kx * modes[0] + ky * modes[1] + kz * modes[2]) / k2
     out = modes.copy()
     out[0] -= kx * compression
@@ -177,7 +242,7 @@ def leray_project(grid: Grid, modes: np.ndarray) -> np.ndarray:
 
 def spectral_divergence_defect(grid: Grid, modes: np.ndarray) -> float:
     """``max_k |k . u(k)|`` relative to ``max_k |u(k)|``."""
-    kx, ky, kz = grid.deriv_symbols
+    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
     div = np.abs(kx * modes[0] + ky * modes[1] + kz * modes[2])
     peak = np.abs(modes).max()
     if peak == 0.0:
@@ -185,38 +250,45 @@ def spectral_divergence_defect(grid: Grid, modes: np.ndarray) -> float:
     return float(div.max() / peak)
 
 
+def _product_modes(u: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """Half-spectrum transforms of the six distinct ``u_i u_j``, stacked.
+
+    ``u`` is the stacked ``(3, n, n, n)`` velocity; an optional pointwise
+    ``weight`` multiplies every product before its transform.
+    """
+    products = np.empty((len(_PAIRS), *u.shape[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (i, j) in enumerate(_PAIRS):
+            np.multiply(u[i], u[j], out=products[idx])
+            if weight is not None:
+                products[idx] *= weight
+    return _forward(products)
+
+
+def _advection(grid: Grid, u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """:func:`nonlinear_term` of the stacked physical velocity ``u``."""
+    products = _product_modes(u)
+    # a non-finite product leaves its transform non-finite: one scan
+    # covers all six
+    if not np.isfinite(products).all():
+        raise BlowUpError("overflow in physical-space product", last_time=math.nan)
+    kx, ky, kz, _ = _operators(grid).symbols(products.shape[-1])
+    out = np.empty((3, *products.shape[1:]), dtype=np.complex128)
+    for i, (a, b, c) in enumerate(_PAIR_INDEX):
+        out[i] = kx * products[a] + ky * products[b] + kz * products[c]
+    out *= 1j * mask[..., : out.shape[-1]]
+    return out
+
+
 def nonlinear_term(grid: Grid, modes: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Divergence-form advection ``(div(u (x) u))^`` with 2/3 dealiasing.
 
     The product is formed in physical space; output modes outside the
     retained band are zeroed.  Not projected -- callers compose with
-    ``leray_project`` as the scheme requires.
+    ``leray_project`` as the scheme requires.  ``modes`` is a half
+    spectrum; ``mask`` may be half or full (``Grid.dealias_mask``).
     """
-    u = [inverse_transform_raw(grid, modes[i]) for i in range(3)]
-    out = np.empty_like(modes)
-    symbols = grid.deriv_symbols
-    n3 = grid.n**3
-    # the tensor is symmetric: six transforms instead of nine
-    products = {}
-    for i in range(3):
-        for j in range(i, 3):
-            with np.errstate(over="ignore", invalid="ignore"):
-                product = u[i] * u[j]
-            if not np.all(np.isfinite(product)):
-                raise BlowUpError(
-                    "overflow in physical-space product", last_time=math.nan
-                )
-            products[i, j] = np.fft.fftn(product) / n3
-    for i in range(3):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(3):
-            acc += symbols[j] * products[min(i, j), max(i, j)]
-        out[i] = 1j * acc * mask
-    return out
-
-
-def inverse_transform_raw(grid: Grid, modes: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(modes * grid.n**3).real
+    return _advection(grid, _inverse(grid, modes), mask)
 
 
 def pressure_from_velocity(
@@ -229,21 +301,17 @@ def pressure_from_velocity(
     high/low pressure split).
     """
     grid = u.grid
-    mask = grid.dealias_mask(dealias_fraction)
-    k = grid.deriv_symbols
-    k2 = _symbol_k2(grid)
-    comps = [c.values for c in u.components]
-    n3 = grid.n**3
-    phat = np.zeros(grid.shape, dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            tensor = comps[i] * comps[j]
-            if weight is not None:
-                tensor = tensor * weight
-            phat -= k[i] * k[j] * (np.fft.fftn(tensor) / n3) / k2
-    phat *= mask
+    ops = _operators(grid)
+    products = _product_modes(u.as_array(), weight)
+    *k, k2 = ops.symbols(products.shape[-1])
+    phat = np.zeros(products.shape[1:], dtype=np.complex128)
+    for idx, (i, j) in enumerate(_PAIRS):
+        # an off-diagonal entry stands for both (i, j) and (j, i)
+        phat -= (k[i] * k[j] * (1.0 if i == j else 2.0)) * products[idx]
+    phat /= k2
+    phat *= ops.mask(dealias_fraction)
     phat[0, 0, 0] = 0.0
-    return ScalarField(grid, np.fft.ifftn(phat * n3).real)
+    return ScalarField(grid, _inverse(grid, phat))
 
 
 def pressure_split(
@@ -265,35 +333,50 @@ class SolverState:
     grid: Grid
     time: float
     step_index: int
-    modes: np.ndarray  # (3, n, n, n) complex
+    modes: np.ndarray  # (3, n, n, n//2+1) complex half spectrum
 
     @classmethod
     def from_velocity(cls, u: VectorField, config: SolverConfig) -> "SolverState":
-        mask = u.grid.dealias_mask(config.dealias_fraction)
+        mask = _operators(u.grid).mask(config.dealias_fraction)
         modes = leray_project(u.grid, to_spectral(u) * mask)
         return cls(grid=u.grid, time=0.0, step_index=0, modes=modes)
 
+    @cached_property
+    def physical(self) -> np.ndarray:
+        """Stacked ``(3, n, n, n)`` velocity values, inverted once per state.
+
+        ``run`` reads them for CFL, blow-up and snapshots, and the next
+        :func:`step` starts from them.
+        """
+        return _inverse(self.grid, self.modes)
+
     def velocity(self) -> VectorField:
-        return to_physical(self.grid, self.modes)
+        return VectorField.from_arrays(self.grid, *self.physical)
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """One RK4 step with the viscous factor applied exactly per substage."""
+    """One RK4 step with the viscous factor applied exactly per substage.
+
+    Stage 1 starts from ``state.physical``, so a state whose velocity was
+    already read costs no extra inverse transform.
+    """
     grid = state.grid
     dt = config.dt
-    mask = grid.dealias_mask(config.dealias_fraction)
-    decay_half = np.exp(-config.viscosity * grid.k_squared * (dt / 2.0))
-    decay_full = decay_half * decay_half
+    ops = _operators(grid)
+    mask = ops.mask(config.dealias_fraction)
+    decay_half, decay_full = ops.decay(config.viscosity, dt)
 
-    def rhs(modes):
-        return -leray_project(grid, nonlinear_term(grid, modes, mask))
+    # minus the right-hand side; the sign is carried by the RK4 weights,
+    # which flips no bit of the result
+    def advect(u):
+        return leray_project(grid, _advection(grid, u, mask))
 
     u0 = state.modes
-    k1 = rhs(u0)
-    k2 = rhs(decay_half * (u0 + 0.5 * dt * k1))
-    k3 = rhs(decay_half * u0 + 0.5 * dt * k2)
-    k4 = rhs(decay_full * u0 + dt * decay_half * k3)
-    new = decay_full * u0 + (dt / 6.0) * (decay_full * k1 + 2.0 * decay_half * (k2 + k3) + k4)
+    a1 = advect(state.physical)
+    a2 = advect(_inverse(grid, decay_half * (u0 - 0.5 * dt * a1)))
+    a3 = advect(_inverse(grid, decay_half * u0 - 0.5 * dt * a2))
+    a4 = advect(_inverse(grid, decay_full * u0 - dt * decay_half * a3))
+    new = decay_full * u0 - (dt / 6.0) * (decay_full * a1 + 2.0 * decay_half * (a2 + a3) + a4)
     new = leray_project(grid, new)
     if not np.all(np.isfinite(new)):
         raise BlowUpError("non-finite modes after step", last_time=state.time)
@@ -359,6 +442,7 @@ def run(
             state = step(state, config)
         except BlowUpError as exc:
             raise BlowUpError(str(exc), last_time=i * config.dt, result=partial()) from None
+        # the one inverse transform of this state: the next step starts from it
         u = state.velocity()
         peak = u.max_abs()
         cfl.append(config.dt * peak / grid.spacing)
@@ -487,15 +571,23 @@ def cylinder_cutoff(
         raise ValueError("need t_zero < t_one")
     dr = r_outer - r_inner
     dt_ramp = t_one - t_zero
+    radial_cache: dict[Grid, tuple] = {}
 
     def radial_parts(grid):
-        d = _min_image(grid, center)
-        rho = np.sqrt(np.sum(d**2, axis=0))
-        s = (rho - r_inner) / dr
-        R = smoothstep_down(s)
-        R1 = smoothstep_down_d1(s) / dr
-        R2 = smoothstep_down_d2(s) / dr**2
-        return d, rho, R, R1, R2
+        """Time-independent radial factors, built once per grid."""
+        if grid not in radial_cache:
+            d = _min_image(grid, center)
+            rho = np.sqrt(np.sum(d**2, axis=0))
+            s = (rho - r_inner) / dr
+            R = smoothstep_down(s)
+            R1 = smoothstep_down_d1(s) / dr
+            R2 = smoothstep_down_d2(s) / dr**2
+            safe = np.where(rho > 0.0, rho, 1.0)
+            # radial laplacian R'' + 2 R'/rho; R' vanishes on the plateau so
+            # the rho -> 0 limit is clean
+            lap = R2 + 2.0 * R1 / safe
+            radial_cache[grid] = d, safe, R, R1, lap
+        return radial_cache[grid]
 
     def time_factor(t: float) -> float:
         return float(1.0 - smoothstep_down(np.asarray((t - t_zero) / dt_ramp)))
@@ -512,16 +604,12 @@ def cylinder_cutoff(
         return R * time_factor_d1(t)
 
     def gradient(grid, t):
-        d, rho, _, R1, _ = radial_parts(grid)
-        safe = np.where(rho > 0.0, rho, 1.0)
+        d, safe, _, R1, _ = radial_parts(grid)
         return time_factor(t) * R1 * d / safe
 
     def laplacian(grid, t):
-        _, rho, _, R1, R2 = radial_parts(grid)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        # radial laplacian R'' + 2 R'/rho; R' vanishes on the plateau so
-        # the rho -> 0 limit is clean
-        return time_factor(t) * (R2 + 2.0 * R1 / safe)
+        _, _, _, _, lap = radial_parts(grid)
+        return time_factor(t) * lap
 
     return CutoffFunction(
         value=value,

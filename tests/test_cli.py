@@ -233,6 +233,23 @@ class TestGronwall:
 
 
 class TestThreads:
+    def test_cap_sets_solver_fft_workers(self, tmp_path, monkeypatch):
+        import scipy.fft
+
+        seen = []
+        for name in ("rfftn", "irfftn"):
+            original = getattr(scipy.fft, name)
+
+            def recording(*args, _original=original, **kwargs):
+                seen.append(scipy.fft.get_workers())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, recording)
+        cfg = write_config(tmp_path, RANDOM_CFG)
+        assert main(["--threads", "3", "simulate", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert seen and set(seen) == {3}
+        assert scipy.fft.get_workers() == 1  # restored after the subcommand
+
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WLNS_THREADS", "2")
         cfg = write_config(tmp_path, RANDOM_CFG)

@@ -89,12 +89,15 @@ class TestLerayProjection:
         assert np.max(np.abs(projected)) < 1e-12
 
     def test_idempotent(self):
+        # the solver's half spectrum, and the full layout the projection
+        # also accepts
         grid = Grid(n=12)
         rng = np.random.default_rng(4)
-        modes = np.fft.fftn(rng.normal(size=(3, *grid.shape)), axes=(1, 2, 3))
-        once = leray_project(grid, modes)
-        twice = leray_project(grid, once)
-        assert np.max(np.abs(twice - once)) <= 1e-12 * np.max(np.abs(once))
+        values = rng.normal(size=(3, *grid.shape))
+        for modes in (np.fft.rfftn(values, axes=(1, 2, 3)), np.fft.fftn(values, axes=(1, 2, 3))):
+            once = leray_project(grid, modes)
+            twice = leray_project(grid, once)
+            assert np.max(np.abs(twice - once)) <= 1e-12 * np.max(np.abs(once))
 
     def test_mean_mode_untouched(self):
         grid = Grid(n=8)
@@ -118,7 +121,8 @@ class TestNonlinearTerm:
         grid = Grid(n=32)
         u = taylor_green(grid)
         mask = grid.dealias_mask()
-        nl = nonlinear_term(grid, to_spectral(u) * mask, mask)
+        modes = to_spectral(u)
+        nl = nonlinear_term(grid, modes * mask[..., : modes.shape[-1]], mask)
         projected = leray_project(grid, nl)
         assert np.max(np.abs(nl)) > 0.1  # the term itself is not trivial
         assert np.max(np.abs(projected)) < 1e-10
@@ -126,7 +130,8 @@ class TestNonlinearTerm:
     def test_brute_force_convolution_oracle(self):
         # band-limited input (|m| <= 1 per axis) so the circular FFT
         # product has no aliased images and must equal the direct
-        # convolution sum over integer modes
+        # convolution sum over integer modes; the oracle runs over the full
+        # spectrum, whose last-axis indices 0..n/2 are the solver's half
         grid = Grid(n=8)
         rng = np.random.default_rng(77)
         raw = np.fft.fftn(rng.normal(size=(3, 8, 8, 8)), axes=(1, 2, 3)) / 8**3
@@ -137,6 +142,7 @@ class TestNonlinearTerm:
             & (np.abs(m)[None, None, :] <= 1)
         )
         modes = leray_project(grid, raw * band)
+        half = grid.n // 2 + 1
 
         coeffs = {}
         for i in range(3):
@@ -161,8 +167,9 @@ class TestNonlinearTerm:
                         oracle[(i, *idx)] += 1j * k_j * ca * cb
 
         mask = grid.dealias_mask()
-        out = nonlinear_term(grid, modes, mask)
-        assert np.max(np.abs(out - oracle)) < 1e-13
+        out = nonlinear_term(grid, modes[..., :half], mask)
+        assert out.shape == (3, 8, 8, half)
+        assert np.max(np.abs(out - oracle[..., :half])) < 1e-13
 
     def test_overflow_aborts(self):
         grid = Grid(n=8)
@@ -286,13 +293,16 @@ class TestStepping:
         assert np.max(np.abs(state.modes[:, 0, 0, 0] - start)) < 1e-12
 
     def test_divergence_and_hermitian_preserved(self, tg_run_32):
-        from wlns.field import SpectralField
-
+        # a half spectrum stores the last-axis planes 0 and n/2 whole, so
+        # Hermitian symmetry is a constraint inside those two planes; the
+        # rest of the full spectrum is implied
         final = tg_run_32.snapshots[-1]
         modes = to_spectral(final)
         assert spectral_divergence_defect(final.grid, modes) < 1e-10
-        defect = SpectralField(final.grid, modes).hermitian_defect()
-        assert defect < 1e-12
+        for plane in (0, final.grid.n // 2):
+            m = modes[..., plane]
+            mirrored = np.roll(np.flip(m, axis=(-2, -1)), 1, axis=(-2, -1))
+            assert np.max(np.abs(mirrored - np.conj(m))) < 1e-12
 
     def test_cfl_series_recorded(self, tg_run_32):
         result = tg_run_32
@@ -332,9 +342,116 @@ class TestStepping:
         grid = Grid(n=16)
         u = random_divfree(grid, seed=30)
         direct = kinetic_energy(u)
+        # the half spectrum holds the last-axis modes 1..n/2-1 once for
+        # themselves and once for their conjugates
         modes = to_spectral(u)
-        from_modes = 0.5 * grid.volume * float(np.sum(np.abs(modes) ** 2))
+        weight = np.full(modes.shape[-1], 2.0)
+        weight[[0, -1]] = 1.0
+        from_modes = 0.5 * grid.volume * float(np.sum(weight * np.abs(modes) ** 2))
         assert direct == pytest.approx(from_modes, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# full-spectrum reference: the complex-FFT RK4 step that the half-spectrum
+# solver replaced, kept as an independent oracle built only on numpy.fft and
+# the field module's symbols
+
+
+def _reference_project(grid, modes):
+    kx, ky, kz = grid.deriv_symbols
+    k2 = kx**2 + ky**2 + kz**2
+    k2 = np.where(k2 > 0.0, k2, 1.0)
+    compression = (kx * modes[0] + ky * modes[1] + kz * modes[2]) / k2
+    out = modes.copy()
+    out[0] -= kx * compression
+    out[1] -= ky * compression
+    out[2] -= kz * compression
+    return out
+
+
+def _reference_nonlinear(grid, modes, mask):
+    n3 = grid.n**3
+    u = [np.fft.ifftn(modes[i] * n3).real for i in range(3)]
+    symbols = grid.deriv_symbols
+    products = {}
+    for i in range(3):
+        for j in range(i, 3):
+            products[i, j] = np.fft.fftn(u[i] * u[j]) / n3
+    out = np.empty_like(modes)
+    for i in range(3):
+        acc = np.zeros(grid.shape, dtype=np.complex128)
+        for j in range(3):
+            acc += symbols[j] * products[min(i, j), max(i, j)]
+        out[i] = 1j * acc * mask
+    return out
+
+
+def reference_step(grid, modes, config):
+    """One full-spectrum RK4 step with the exact viscous factor."""
+    dt = config.dt
+    mask = grid.dealias_mask(config.dealias_fraction)
+    decay_half = np.exp(-config.viscosity * grid.k_squared * (dt / 2.0))
+    decay_full = decay_half * decay_half
+
+    def rhs(m):
+        return -_reference_project(grid, _reference_nonlinear(grid, m, mask))
+
+    k1 = rhs(modes)
+    k2 = rhs(decay_half * (modes + 0.5 * dt * k1))
+    k3 = rhs(decay_half * modes + 0.5 * dt * k2)
+    k4 = rhs(decay_full * modes + dt * decay_half * k3)
+    new = decay_full * modes + (dt / 6.0) * (
+        decay_full * k1 + 2.0 * decay_half * (k2 + k3) + k4
+    )
+    return _reference_project(grid, new)
+
+
+class TestReferenceStep:
+    REL = 1e-12  # fixed before the comparison was run
+
+    CASES = {
+        "random16": (
+            lambda: random_divfree(Grid(n=16), seed=11, amplitude=1.0),
+            SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.04, snapshot_every=5),
+        ),
+        # every mode kept, so the Nyquist planes carry content and their
+        # zeroed derivative symbols matter
+        "random16-full-band": (
+            lambda: random_divfree(Grid(n=16), seed=11, amplitude=1.0),
+            SolverConfig(
+                viscosity=0.05, dt=2e-3, t_end=0.04, snapshot_every=5, dealias_fraction=1.0
+            ),
+        ),
+        "taylor-green32": (
+            lambda: taylor_green(Grid(n=32)),
+            SolverConfig(viscosity=1.0, dt=1e-3, t_end=0.02, snapshot_every=5),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_matches_reference(self, case):
+        make_u0, config = self.CASES[case]
+        u0 = make_u0()
+        grid = u0.grid
+        result = run(u0, config)
+
+        n3 = grid.n**3
+        mask = grid.dealias_mask(config.dealias_fraction)
+        modes = _reference_project(grid, np.fft.fftn(u0.as_array(), axes=(1, 2, 3)) / n3 * mask)
+        physical = np.fft.ifftn(modes * n3, axes=(1, 2, 3)).real
+        snapshots, cfl = [physical], []
+        for index in range(1, config.n_steps + 1):
+            modes = reference_step(grid, modes, config)
+            physical = np.fft.ifftn(modes * n3, axes=(1, 2, 3)).real
+            cfl.append(config.dt * np.sqrt(np.sum(physical**2, axis=0)).max() / grid.spacing)
+            if index % config.snapshot_every == 0:
+                snapshots.append(physical)
+
+        assert len(result.snapshots) == len(snapshots)
+        for got, want in zip(result.snapshots, snapshots):
+            assert np.max(np.abs(got.as_array() - want)) <= self.REL * np.max(np.abs(want))
+        assert len(result.cfl) == len(cfl)
+        np.testing.assert_allclose(result.cfl, cfl, rtol=self.REL, atol=0.0)
 
 
 class TestScalingEquivariance:
