@@ -293,8 +293,12 @@ def _cmd_diagnose(args) -> int:
             t, u = read_vector_snapshot(p)
         except ValueError as exc:
             return _fail(f"{p}: {exc}")
+        if fields and u.grid != fields[0].grid:
+            return _fail(f"{p}: grid {u.grid} differs from {fields[0].grid} of {paths[0]}")
         times.append(t)
         fields.append(u)
+    if args.cylinder_scale is not None and len(times) < 2:
+        return _fail("level-set energies need at least two snapshots")
     order = np.argsort(times)
     times = [times[i] for i in order]
     fields = [fields[i] for i in order]
@@ -314,8 +318,6 @@ def _cmd_diagnose(args) -> int:
     manifest.add_output(out_dir, trace_path)
 
     if args.cylinder_scale is not None:
-        if len(times) < 2:
-            return _fail("level-set energies need at least two snapshots")
         center = (
             _parse_triplet(args.cylinder_center, "--cylinder-center")
             if args.cylinder_center
@@ -506,9 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads of the scipy.fft transforms (the solver and "
-        "pressure); also exported to OMP/OPENBLAS/MKL_NUM_THREADS for child "
-        "processes (fallback: WLNS_THREADS); outputs are identical for any cap",
+        help="worker threads of every scipy.fft transform in the package "
+        "(solver, pressure and field calculus); also exported to "
+        "OMP/OPENBLAS/MKL_NUM_THREADS for child processes (fallback: "
+        "WLNS_THREADS); outputs are identical for any cap",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

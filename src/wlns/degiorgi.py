@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from wlns.field import Grid, ScalarField, VectorField, ball_boundary_cells, ball_mask
+from wlns.field import (
+    Grid,
+    ScalarField,
+    VectorField,
+    ball_boundary_cells,
+    ball_mask,
+    gradient_squares,
+)
 from wlns.nse_solver import (
     CutoffFunction,
     SimulationResult,
@@ -28,7 +35,6 @@ from wlns.nse_solver import (
     _snapshot_step,
     constant_one,
     cylinder_cutoff,
-    gradient_squares,
 )
 
 

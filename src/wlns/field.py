@@ -1,20 +1,29 @@
 """Fields on a periodic box and their spectral representation.
 
 Everything lives on the uniform grid of a cube ``[0, length)^3`` with
-periodic boundary conditions.  Transforms follow the convention that the
-mode array of a constant field ``c`` is ``c`` at wavevector zero, i.e.
-``modes = fftn(values) / n**3``, so the mean of ``|f|^2`` equals the plain
-sum of ``|modes|^2`` (discrete Parseval).
+periodic boundary conditions.  Real fields are transformed to the real-FFT
+half spectrum: ``rfftn`` keeps the last-axis mode numbers ``0..n/2``, which
+are exactly the first ``n/2 + 1`` entries of the full FFT layout, so a
+scalar has ``(n, n, n//2+1)`` modes and a vector ``(3, n, n, n//2+1)``.
+Transforms follow the convention that the mode array of a constant field
+``c`` is ``c`` at wavevector zero, i.e. ``modes = fftn(values) / n**3``, so
+the mean of ``|f|^2`` is the sum of ``|modes|^2`` with the last-axis modes
+``1..n/2-1`` counted twice, once for their conjugates (discrete Parseval).
+
+This module holds the package's only transform pair and the spectral
+operators of each grid; the solver builds on both.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 
 SNAPSHOT_MAGIC = b"WLNS"
 SNAPSHOT_VERSION = 1
@@ -78,35 +87,11 @@ class Grid:
     @cached_property
     def mode_numbers(self) -> np.ndarray:
         """Integer mode numbers along one axis in FFT layout."""
-        return np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-
-    @cached_property
-    def wavevectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Meshed wavevector components ``(2*pi/length) * m``."""
-        k1 = (TWO_PI / self.length) * self.mode_numbers.astype(np.float64)
-        return tuple(np.meshgrid(k1, k1, k1, indexing="ij"))
-
-    @cached_property
-    def deriv_symbols(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # First-derivative symbols with the unpaired Nyquist mode zeroed,
-        # the standard choice for odd-order spectral derivatives of real data.
-        k1 = (TWO_PI / self.length) * self.mode_numbers.astype(np.float64)
-        k1[self.n // 2] = 0.0
-        return tuple(np.meshgrid(k1, k1, k1, indexing="ij"))
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        kx, ky, kz = self.wavevectors
-        return kx**2 + ky**2 + kz**2
+        return (np.arange(self.n) + self.n // 2) % self.n - self.n // 2
 
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
-        """Boolean keep-mask: True where every ``|m_j| <= fraction*n/2``."""
-        cutoff = fraction * self.n / 2.0
-        m = np.abs(self.mode_numbers)
-        keep1 = m <= cutoff
-        return (
-            keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
-        )
+        """Full-layout keep-mask: True where every ``|m_j| <= fraction*n/2``."""
+        return _band_mask(self.mode_numbers, fraction * self.n / 2.0)
 
     def index_of(self, point: Sequence[float]) -> tuple[int, int, int]:
         """Grid index of a point, erroring if it is not on the grid."""
@@ -189,17 +174,106 @@ class VectorField:
         return float(np.sqrt(sum(c.values**2 for c in self.components)).max())
 
 
+def _band_mask(mode_numbers: np.ndarray, max_mode: float, width: int | None = None) -> np.ndarray:
+    """Boolean keep-mask: True where every ``|m_j| <= max_mode``.
+
+    ``mode_numbers`` is ``Grid.mode_numbers``.  The last axis is cut to its
+    first ``width`` entries (``n//2 + 1`` for the half spectrum); ``None``
+    keeps the full layout.
+    """
+    keep = np.abs(mode_numbers) <= max_mode
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :width]
+
+
+# ---------------------------------------------------------------------------
+# The transform pair and the spectral operators of a grid
+#
+# ``scipy.fft`` is looked up at every call so the transforms honour the
+# worker count of an enclosing ``scipy.fft.set_workers``.
+
+_AXES = (-3, -2, -1)
+
+
+def _forward(values: np.ndarray) -> np.ndarray:
+    """Half-spectrum modes of real values, ``modes = fftn(values) / n**3``."""
+    return scipy.fft.rfftn(values, axes=_AXES, norm="forward")
+
+
+def _inverse(grid: Grid, modes: np.ndarray) -> np.ndarray:
+    """Real values of half-spectrum modes; inverse of :func:`_forward`."""
+    return scipy.fft.irfftn(modes, s=grid.shape, axes=_AXES, norm="forward")
+
+
+class _Operators:
+    """Spectral operators of one grid, built once and shared by every call.
+
+    The first-derivative symbols are broadcastable axes with the unpaired
+    Nyquist mode zeroed, the standard choice for odd-order spectral
+    derivatives of real data; ``k2`` is ``|k|^2`` built from them with zeros
+    mapped to 1.  Using the same symbols as the derivative operators keeps
+    the projection/pressure algebra Hermitian and exactly consistent with
+    them; the substituted 1 only appears where every symbol vanishes, and
+    there the numerators vanish too.  ``kz`` and ``k2`` keep the full last
+    axis so they can be sliced to either layout.  The dealias mask and the
+    viscous factors of a solver config are built on first use and kept.
+    """
+
+    def __init__(self, grid: Grid):
+        # plain values only: the cache entry must not keep the grid alive
+        self._n, self._modes = grid.n, grid.mode_numbers
+        self.half = grid.n // 2 + 1
+        self._k1 = (TWO_PI / grid.length) * self._modes.astype(np.float64)
+        k1 = self._k1.copy()
+        k1[grid.n // 2] = 0.0
+        self.kx, self.ky, self.kz = k1[:, None, None], k1[None, :, None], k1[None, None, :]
+        k2 = self.kx**2 + self.ky**2 + self.kz**2
+        self.k2 = np.where(k2 > 0.0, k2, 1.0)
+        self._masks: dict[float, np.ndarray] = {}
+        self._decays: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def symbols(self, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(kx, ky, kz, k2)`` for modes whose last axis has ``width`` entries."""
+        return self.kx, self.ky, self.kz[..., :width], self.k2[..., :width]
+
+    def mask(self, fraction: float) -> np.ndarray:
+        """Half-spectrum part of ``Grid.dealias_mask(fraction)``."""
+        if fraction not in self._masks:
+            self._masks[fraction] = _band_mask(self._modes, fraction * self._n / 2.0, self.half)
+        return self._masks[fraction]
+
+    def decay(self, viscosity: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Viscous factors ``exp(-nu |k|^2 dt/2)`` and ``exp(-nu |k|^2 dt)``."""
+        if (viscosity, dt) not in self._decays:
+            k, kh = self._k1, self._k1[: self.half]
+            k_squared = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kh[None, None, :] ** 2
+            half = np.exp(-viscosity * k_squared * (dt / 2.0))
+            self._decays[viscosity, dt] = half, half * half
+        return self._decays[viscosity, dt]
+
+
+# one entry per live grid; equal grids share it, and it goes with the last
+_OPERATORS: weakref.WeakKeyDictionary[Grid, _Operators] = weakref.WeakKeyDictionary()
+
+
+def _operators(grid: Grid) -> _Operators:
+    ops = _OPERATORS.get(grid)
+    if ops is None:
+        ops = _OPERATORS[grid] = _Operators(grid)
+    return ops
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier modes of a scalar (``ndim == 3``) or vector (``ndim == 4``)."""
+    """Half-spectrum modes of a scalar (``ndim == 3``) or vector (``ndim == 4``)."""
 
     grid: Grid
     modes: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.grid.n
+        half = (n, n, n // 2 + 1)
         modes = np.asarray(self.modes, dtype=np.complex128)
-        if modes.shape not in ((n, n, n), (3, n, n, n)):
+        if modes.shape not in (half, (3, *half)):
             raise ValueError(f"bad mode array shape {modes.shape} for n={n}")
         if not np.all(np.isfinite(modes)):
             raise ValueError("spectral modes must be finite")
@@ -210,73 +284,79 @@ class SpectralField:
         return self.modes.ndim == 4
 
     def hermitian_defect(self) -> float:
-        """Max deviation of ``mode(-k) - conj(mode(k))`` over all modes."""
-        m = self.modes
-        axes = (-3, -2, -1)
-        flipped = np.roll(np.flip(m, axis=axes), 1, axis=axes)
-        return float(np.abs(flipped - np.conj(m)).max())
+        """Max deviation of ``mode(-k) - conj(mode(k))`` where a half spectrum can have one.
+
+        The last-axis planes 0 and n/2 are their own mirror images, so
+        Hermitian symmetry is a constraint inside those two planes; the
+        rest of the full spectrum is implied by the stored half.
+        """
+        planes = self.modes[..., [0, -1]]
+        axes = (-3, -2)
+        mirrored = np.roll(np.flip(planes, axis=axes), 1, axis=axes)
+        return float(np.abs(mirrored - np.conj(planes)).max())
 
 
 def forward_transform(field: ScalarField | VectorField) -> SpectralField:
-    """FFT a physical field; modes are normalised by ``n**3``."""
+    """Half-spectrum transform of a physical field; modes are normalised by ``n**3``."""
     if isinstance(field, VectorField):
-        stack = field.as_array()
-        modes = np.fft.fftn(stack, axes=(1, 2, 3)) / field.grid.n**3
-        return SpectralField(field.grid, modes)
-    modes = np.fft.fftn(field.values) / field.grid.n**3
-    return SpectralField(field.grid, modes)
+        return SpectralField(field.grid, _forward(field.as_array()))
+    return SpectralField(field.grid, _forward(field.values))
 
 
 def inverse_transform(spec: SpectralField) -> ScalarField | VectorField:
-    """Inverse FFT back to physical samples (imaginary part discarded).
+    """Inverse transform back to physical samples.
 
     The round trip ``inverse_transform(forward_transform(f))`` reproduces
-    ``f`` to machine precision; the discarded imaginary part of a physical
-    field is pure FFT roundoff.
+    ``f`` to machine precision.
     """
-    n3 = spec.grid.n**3
+    values = _inverse(spec.grid, spec.modes)
     if spec.is_vector:
-        values = np.fft.ifftn(spec.modes * n3, axes=(1, 2, 3)).real
-        return VectorField.from_arrays(spec.grid, values[0], values[1], values[2])
-    values = np.fft.ifftn(spec.modes * n3).real
+        return VectorField.from_arrays(spec.grid, *values)
     return ScalarField(spec.grid, values)
 
 
 def _scalar_modes(field: ScalarField | SpectralField) -> tuple[Grid, np.ndarray]:
     if isinstance(field, ScalarField):
-        spec = forward_transform(field)
-        return field.grid, spec.modes
+        return field.grid, _forward(field.values)
     if field.is_vector:
         raise ValueError("expected a scalar field")
     return field.grid, field.modes
 
 
+def _derivatives(grid: Grid, modes: np.ndarray):
+    """The three spectral first derivatives of scalar modes, one at a time."""
+    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
+    return (_inverse(grid, 1j * k * modes) for k in (kx, ky, kz))
+
+
 def gradient(field: ScalarField | SpectralField) -> VectorField:
     """Spectral gradient of a scalar field."""
     grid, modes = _scalar_modes(field)
-    kx, ky, kz = grid.deriv_symbols
-    n3 = grid.n**3
-    parts = [
-        np.fft.ifftn(1j * k * modes * n3).real for k in (kx, ky, kz)
-    ]
-    return VectorField.from_arrays(grid, *parts)
+    return VectorField.from_arrays(grid, *_derivatives(grid, modes))
+
+
+def gradient_squares(f: ScalarField | VectorField) -> np.ndarray:
+    """Pointwise ``|grad f|^2``: every spectral first derivative squared and summed.
+
+    A vector field gives the nine-derivative ``|grad u|^2``.
+    """
+    total = np.zeros(f.grid.shape)
+    for component in f.components if isinstance(f, VectorField) else (f,):
+        for part in _derivatives(f.grid, _forward(component.values)):
+            total += part**2
+    return total
 
 
 def divergence(field: VectorField | SpectralField) -> ScalarField:
     """Spectral divergence of a vector field."""
     if isinstance(field, VectorField):
-        spec = forward_transform(field)
-    else:
-        if not field.is_vector:
-            raise ValueError("expected a vector field")
-        spec = field
-    grid = spec.grid
-    kx, ky, kz = grid.deriv_symbols
-    n3 = grid.n**3
-    div_modes = 1j * (
-        kx * spec.modes[0] + ky * spec.modes[1] + kz * spec.modes[2]
-    )
-    return ScalarField(grid, np.fft.ifftn(div_modes * n3).real)
+        field = forward_transform(field)
+    elif not field.is_vector:
+        raise ValueError("expected a vector field")
+    grid, modes = field.grid, field.modes
+    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
+    div_modes = 1j * (kx * modes[0] + ky * modes[1] + kz * modes[2])
+    return ScalarField(grid, _inverse(grid, div_modes))
 
 
 def laplacian(field: ScalarField | SpectralField) -> ScalarField:
@@ -286,12 +366,9 @@ def laplacian(field: ScalarField | SpectralField) -> ScalarField:
     to ``divergence(gradient(.))`` on every input.
     """
     grid, modes = _scalar_modes(field)
-    kx, ky, kz = grid.deriv_symbols
+    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
     sym = -(kx**2 + ky**2 + kz**2)
-    n3 = grid.n**3
-    return ScalarField(grid, np.fft.ifftn(sym * modes * n3).real)
-
-
+    return ScalarField(grid, _inverse(grid, sym * modes))
 def sample_scalar(grid: Grid, func: Callable) -> ScalarField:
     """Evaluate ``func(X, Y, Z)`` on the grid."""
     X, Y, Z = grid.coordinates
@@ -301,10 +378,7 @@ def sample_scalar(grid: Grid, func: Callable) -> ScalarField:
 def sample_vector(grid: Grid, func: Callable) -> VectorField:
     """Evaluate a closed form returning three components on the grid."""
     X, Y, Z = grid.coordinates
-    u1, u2, u3 = func(X, Y, Z)
-    u1 = np.broadcast_to(np.asarray(u1, dtype=np.float64), X.shape)
-    u2 = np.broadcast_to(np.asarray(u2, dtype=np.float64), X.shape)
-    u3 = np.broadcast_to(np.asarray(u3, dtype=np.float64), X.shape)
+    u1, u2, u3 = (np.broadcast_to(np.asarray(c, dtype=np.float64), X.shape) for c in func(X, Y, Z))
     return VectorField.from_arrays(grid, u1, u2, u3)
 
 

@@ -1,11 +1,12 @@
 """Pseudo-spectral incompressible flow on the periodic box.
 
-Velocity lives in Fourier space as the real-FFT half spectrum, a
-``(3, n, n, n//2+1)`` complex array of modes (``rfftn`` normalised by
-``n**3``); masks, derivative symbols and viscous factors are built once
-per grid.  Time stepping is classical RK4 on the nonlinear term with the
-viscous semigroup handled exactly by an integrating factor, so a pure
-heat mode decays with machine-precision accuracy at any step size.
+Velocity lives in Fourier space as the real-FFT half spectrum of
+:mod:`wlns.field`, a ``(3, n, n, n//2+1)`` complex array of modes; the
+masks, derivative symbols and viscous factors come from that module's
+per-grid operator cache.  Time stepping is classical RK4 on the
+nonlinear term with the viscous semigroup handled exactly by an
+integrating factor, so a pure heat mode decays with machine-precision
+accuracy at any step size.
 Quadratic products are formed in physical space and dealiased by the
 2/3 rule.
 
@@ -17,17 +18,23 @@ space-time cutoff; both feed the regularity diagnostics downstream.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
 from wlns.criteria import CriterionTrace, TraceRow, evaluate_row
-from wlns.field import TWO_PI, Grid, ScalarField, VectorField
-from wlns.field import gradient as field_gradient
+from wlns.field import (
+    Grid,
+    ScalarField,
+    VectorField,
+    _band_mask,
+    _forward,
+    _inverse,
+    _operators,
+    gradient_squares,
+)
 
 
 class BlowUpError(RuntimeError):
@@ -123,9 +130,7 @@ def random_divfree(
         max_mode = grid.n // 4
     rng = np.random.default_rng(seed)
     modes = _forward(np.stack([rng.normal(size=grid.shape) for _ in range(3)]))
-    keep = np.abs(grid.mode_numbers) <= max_mode
-    band = keep[:, None, None] & keep[None, :, None] & keep[None, None, : modes.shape[-1]]
-    modes *= band
+    modes *= _band_mask(grid.mode_numbers, max_mode, modes.shape[-1])
     modes = leray_project(grid, modes)
     u = to_physical(grid, modes)
     peak = u.max_abs()
@@ -139,85 +144,13 @@ def random_divfree(
 # ---------------------------------------------------------------------------
 # spectral operators
 #
-# Real fields are held as half spectra: ``rfftn`` keeps the last-axis mode
-# numbers ``0..n/2``, which are exactly the first ``n/2 + 1`` entries of the
-# full FFT layout.  Masks and symbols are sliced to ``modes.shape[-1]``, so
-# the projection and the divergence defect accept either layout.
+# Masks and symbols are sliced to ``modes.shape[-1]``, so the projection and
+# the divergence defect accept the half spectrum and the full layout alike.
 
-_AXES = (-3, -2, -1)
 # the six distinct entries of the symmetric tensor u_i u_j, and where
 # entry (i, j) sits in that stack
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _PAIR_INDEX = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
-
-
-def _forward(values: np.ndarray) -> np.ndarray:
-    """Half-spectrum modes of real values, ``modes = fftn(values) / n**3``."""
-    return scipy.fft.rfftn(values, axes=_AXES, norm="forward")
-
-
-def _inverse(grid: Grid, modes: np.ndarray) -> np.ndarray:
-    """Real values of half-spectrum modes; inverse of :func:`_forward`."""
-    return scipy.fft.irfftn(modes, s=grid.shape, axes=_AXES, norm="forward")
-
-
-class _Operators:
-    """Spectral operators of one grid, built once and shared by every call.
-
-    The first-derivative symbols are broadcastable axes with the unpaired
-    Nyquist mode zeroed, the standard choice for odd-order spectral
-    derivatives of real data; ``k2`` is ``|k|^2`` built from them with zeros
-    mapped to 1.  Using the same symbols as the derivative operators keeps
-    the projection/pressure algebra Hermitian and exactly consistent with
-    them; the substituted 1 only appears where every symbol vanishes, and
-    there the numerators vanish too.  ``kz`` and ``k2`` keep the full last
-    axis so they can be sliced to either layout.  The dealias mask and the
-    viscous factors of a solver config are built on first use and kept.
-    """
-
-    def __init__(self, grid: Grid):
-        # only the grid's parameters: the cache entry must not keep it alive
-        self._n, self._length = grid.n, grid.length
-        self.half = grid.n // 2 + 1
-        self._k1 = (TWO_PI / grid.length) * grid.mode_numbers.astype(np.float64)
-        k1 = self._k1.copy()
-        k1[grid.n // 2] = 0.0
-        self.kx, self.ky, self.kz = k1[:, None, None], k1[None, :, None], k1[None, None, :]
-        k2 = self.kx**2 + self.ky**2 + self.kz**2
-        self.k2 = np.where(k2 > 0.0, k2, 1.0)
-        self._masks: dict[float, np.ndarray] = {}
-        self._decays: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-
-    def symbols(self, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(kx, ky, kz, k2)`` for modes whose last axis has ``width`` entries."""
-        return self.kx, self.ky, self.kz[..., :width], self.k2[..., :width]
-
-    def mask(self, fraction: float) -> np.ndarray:
-        """Half-spectrum part of ``Grid.dealias_mask(fraction)``."""
-        if fraction not in self._masks:
-            full = Grid(self._n, self._length).dealias_mask(fraction)
-            self._masks[fraction] = np.ascontiguousarray(full[..., : self.half])
-        return self._masks[fraction]
-
-    def decay(self, viscosity: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Viscous factors ``exp(-nu |k|^2 dt/2)`` and ``exp(-nu |k|^2 dt)``."""
-        if (viscosity, dt) not in self._decays:
-            k, kh = self._k1, self._k1[: self.half]
-            k_squared = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kh[None, None, :] ** 2
-            half = np.exp(-viscosity * k_squared * (dt / 2.0))
-            self._decays[viscosity, dt] = half, half * half
-        return self._decays[viscosity, dt]
-
-
-# one entry per live grid; equal grids share it, and it goes with the last
-_OPERATORS: weakref.WeakKeyDictionary[Grid, _Operators] = weakref.WeakKeyDictionary()
-
-
-def _operators(grid: Grid) -> _Operators:
-    ops = _OPERATORS.get(grid)
-    if ops is None:
-        ops = _OPERATORS[grid] = _Operators(grid)
-    return ops
 
 
 def to_spectral(u: VectorField) -> np.ndarray:
@@ -627,26 +560,6 @@ class EnergyResidualReport:
     terms: dict  # per-snapshot integral series keyed by name
 
 
-def gradient_squares(f: ScalarField | VectorField) -> np.ndarray:
-    """Pointwise ``|grad f|^2``: every spectral first derivative squared and summed.
-
-    A vector field gives the nine-derivative ``|grad u|^2``.
-    """
-    total = np.zeros(f.grid.shape)
-    for component in f.components if isinstance(f, VectorField) else (f,):
-        for part in field_gradient(component).components:
-            total += part.values**2
-    return total
-
-
-def velocity_gradient_energy(u: VectorField, weight: np.ndarray | None = None) -> float:
-    """``integral w |grad u|^2`` with all nine derivatives spectral."""
-    total = gradient_squares(u)
-    if weight is not None:
-        total = total * weight
-    return float(np.sum(total)) * u.grid.cell_volume
-
-
 def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
     """Per-snapshot integrals of the localized energy balance against ``cutoff``."""
     grid = result.grid
@@ -660,7 +573,7 @@ def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
         phi = cutoff.value(grid, t)
         u2_half = 0.5 * sum(c.values**2 for c in u.components)
         quadratic[idx] = np.sum(phi * u2_half) * vol
-        dissipation[idx] = velocity_gradient_energy(u, weight=phi)
+        dissipation[idx] = np.sum(phi * gradient_squares(u)) * vol
         transport[idx] = (
             np.sum(u2_half * (cutoff.time_derivative(grid, t) + cutoff.laplacian(grid, t)))
             * vol

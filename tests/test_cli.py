@@ -2,12 +2,14 @@
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wlns.cli import main
+from wlns.field import Grid, VectorField, write_snapshot
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wlns" / "configs"
 
@@ -154,6 +156,36 @@ class TestDiagnose:
         assert main(["diagnose", str(tmp_path), "--q", "6", "--out", str(tmp_path)]) == 1
         assert "no .bin snapshots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cylinders", [False, True])
+    def test_mixed_grids_rejected_before_output(
+        self, taylor_green_run, tmp_path, capsys, cylinders
+    ):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(taylor_green_run, snaps, ignore=shutil.ignore_patterns("*.csv", "*.json"))
+        odd = snaps / "tg_000005x.bin"
+        coarse = Grid(8)
+        write_snapshot(odd, 0.05, VectorField.from_arrays(coarse, *np.zeros((3, *coarse.shape))))
+        out = tmp_path / "diag"
+        extra = ["--cylinder-scale", "0.3", "--kmax", "1"] if cylinders else []
+        assert main(["diagnose", str(snaps), "--q", "6.0", "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert "tg_000005x.bin" in err and "n=8" in err
+        assert not out.exists()
+
+    def test_one_snapshot_with_cylinders_rejected_before_output(
+        self, taylor_green_run, tmp_path, capsys
+    ):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        shutil.copy(taylor_green_run / "tg_000000.bin", snaps)
+        out = tmp_path / "diag"
+        code = main(
+            ["diagnose", str(snaps), "--q", "6.0", "--out", str(out), "--cylinder-scale", "0.3"]
+        )
+        assert code == 1
+        assert "at least two snapshots" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCounterexample:
     def test_tables(self, tmp_path, capsys):
@@ -233,7 +265,7 @@ class TestGronwall:
 
 
 class TestThreads:
-    def test_cap_sets_solver_fft_workers(self, tmp_path, monkeypatch):
+    def test_cap_sets_solver_fft_workers(self, taylor_green_run, tmp_path, monkeypatch):
         import scipy.fft
 
         seen = []
@@ -246,9 +278,17 @@ class TestThreads:
 
             monkeypatch.setattr(scipy.fft, name, recording)
         cfg = write_config(tmp_path, RANDOM_CFG)
-        assert main(["--threads", "3", "simulate", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert seen and set(seen) == {3}
-        assert scipy.fft.get_workers() == 1  # restored after the subcommand
+        runs = (
+            ["simulate", str(cfg), "--out", str(tmp_path / "o")],
+            # the level-set energies reach the transforms through the field calculus
+            ["diagnose", str(taylor_green_run), "--q", "6.0", "--out", str(tmp_path / "d"),
+             "--cylinder-scale", "0.3", "--kmax", "1"],
+        )
+        for argv in runs:
+            seen.clear()
+            assert main(["--threads", "3", *argv]) == 0
+            assert seen and set(seen) == {3}, argv[0]
+            assert scipy.fft.get_workers() == 1  # restored after the subcommand
 
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WLNS_THREADS", "2")

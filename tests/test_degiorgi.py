@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_symbols
 
 from wlns.degiorgi import (
     BetaFit,
@@ -134,16 +135,9 @@ def numpy_spectral_gradient(values: np.ndarray, length: float) -> list[np.ndarra
     The unpaired highest mode of an even grid is dropped so that the
     derivative of a real field stays real.
     """
-    n = values.shape[0]
-    k1 = 2.0 * math.pi / length * np.fft.fftfreq(n, d=1.0 / n)
-    k1[n // 2] = 0.0
+    symbols, _ = reference_symbols(values.shape[0], length)
     modes = np.fft.fftn(values)
-    out = []
-    for axis in range(3):
-        shape = [1, 1, 1]
-        shape[axis] = n
-        out.append(np.real(np.fft.ifftn(1j * k1.reshape(shape) * modes)))
-    return out
+    return [np.real(np.fft.ifftn(1j * k * modes)) for k in symbols]
 
 
 class TestDissipationDensity:

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from conftest import reference_symbols
 
 from wlns.field import (
     Grid,
     ScalarField,
     SnapshotFormatError,
+    SpectralField,
     VectorField,
     ball_mask,
     divergence,
     forward_transform,
     gradient,
+    gradient_squares,
     inverse_transform,
     laplacian,
     read_snapshot,
@@ -73,17 +76,35 @@ class TestTransforms:
 
     def test_parseval(self):
         g = Grid(n=16, length=4.0)
+        # the half spectrum holds the last-axis modes 1..n/2-1 once for
+        # themselves and once for their conjugates
+        weight = np.full(g.n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
         for seed in range(5):
             f = random_scalar(g, seed)
             spec = forward_transform(f)
             mean_sq = np.mean(f.values**2)
-            mode_sum = np.sum(np.abs(spec.modes) ** 2)
+            mode_sum = np.sum(weight * np.abs(spec.modes) ** 2)
             assert mean_sq == pytest.approx(mode_sum, rel=1e-12)
 
     def test_hermitian_symmetry_of_real_fields(self):
         g = Grid(n=12)
         spec = forward_transform(random_scalar(g, 3))
         assert spec.hermitian_defect() < 1e-14
+        # only the self-conjugate last-axis planes 0 and n/2 constrain a
+        # half spectrum; a mode of any other plane is free
+        for plane, defect in ((0, 0.5), (g.n // 2, 0.5), (1, 0.0)):
+            broken = spec.modes.copy()
+            broken[1, 2, plane] += 0.5j
+            assert SpectralField(g, broken).hermitian_defect() == pytest.approx(
+                defect, abs=1e-14
+            )
+
+    def test_half_spectrum_layout(self):
+        g = Grid(n=8)
+        assert forward_transform(random_scalar(g)).modes.shape == (8, 8, 5)
+        with pytest.raises(ValueError):
+            SpectralField(g, np.zeros((8, 8, 8), dtype=np.complex128))
 
     def test_rejects_nonfinite(self):
         g = Grid(n=8)
@@ -132,6 +153,45 @@ class TestDerivatives:
         f = sample_scalar(g, lambda X, Y, Z: np.sin(X / 2))
         lap = laplacian(f)
         assert np.abs(lap.values + 0.25 * f.values).max() < 1e-13
+
+
+class TestFieldCalculusOracle:
+    """The field calculus against a numpy.fft full-spectrum reference."""
+
+    REL = 1e-12  # fixed before the comparison was run
+
+    @pytest.mark.parametrize("length", [2 * np.pi, 3.5])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_numpy_full_spectrum(self, n, length):
+        grid = Grid(n=n, length=length)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal(grid.shape)
+        v = rng.standard_normal((3, *grid.shape))
+        f_modes = np.fft.fftn(f)
+        v_modes = np.fft.fftn(v, axes=(1, 2, 3))
+        # white noise fills the Nyquist planes, whose zeroed symbols matter
+        for axis in range(3):
+            assert np.abs(np.take(f_modes, n // 2, axis=axis)).max() > 1e-3 * n**1.5
+        (kx, ky, kz), _ = reference_symbols(n, length)
+        grad = [np.fft.ifftn(1j * k * f_modes).real for k in (kx, ky, kz)]
+        lap = np.fft.ifftn(-(kx**2 + ky**2 + kz**2) * f_modes).real
+        div = np.fft.ifftn(1j * (kx * v_modes[0] + ky * v_modes[1] + kz * v_modes[2])).real
+        v_grad2 = sum(
+            np.fft.ifftn(1j * k * v_modes[i]).real ** 2 for i in range(3) for k in (kx, ky, kz)
+        )
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= self.REL * np.max(np.abs(want))
+
+        scalar = ScalarField(grid, f)
+        vector = VectorField.from_arrays(grid, *v)
+        for source in (scalar, forward_transform(scalar)):
+            close(gradient(source).as_array(), np.stack(grad))
+            close(laplacian(source).values, lap)
+        for source in (vector, forward_transform(vector)):
+            close(divergence(source).values, div)
+        close(gradient_squares(scalar), sum(g**2 for g in grad))
+        close(gradient_squares(vector), v_grad2)
 
 
 class TestRescale:

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_symbols
 
-from wlns.field import Grid, ScalarField, VectorField, forward_transform, gradient, laplacian
+from wlns.field import (
+    Grid,
+    ScalarField,
+    SpectralField,
+    VectorField,
+    forward_transform,
+    gradient,
+    laplacian,
+)
 from wlns.nse_solver import (
     BlowUpError,
     CutoffFunction,
@@ -293,16 +302,12 @@ class TestStepping:
         assert np.max(np.abs(state.modes[:, 0, 0, 0] - start)) < 1e-12
 
     def test_divergence_and_hermitian_preserved(self, tg_run_32):
-        # a half spectrum stores the last-axis planes 0 and n/2 whole, so
-        # Hermitian symmetry is a constraint inside those two planes; the
-        # rest of the full spectrum is implied
+        # a half spectrum can break Hermitian symmetry only inside the
+        # last-axis planes 0 and n/2, which hermitian_defect checks
         final = tg_run_32.snapshots[-1]
         modes = to_spectral(final)
         assert spectral_divergence_defect(final.grid, modes) < 1e-10
-        for plane in (0, final.grid.n // 2):
-            m = modes[..., plane]
-            mirrored = np.roll(np.flip(m, axis=(-2, -1)), 1, axis=(-2, -1))
-            assert np.max(np.abs(mirrored - np.conj(m))) < 1e-12
+        assert SpectralField(final.grid, modes).hermitian_defect() < 1e-12
 
     def test_cfl_series_recorded(self, tg_run_32):
         result = tg_run_32
@@ -354,11 +359,11 @@ class TestStepping:
 # ---------------------------------------------------------------------------
 # full-spectrum reference: the complex-FFT RK4 step that the half-spectrum
 # solver replaced, kept as an independent oracle built only on numpy.fft and
-# the field module's symbols
+# the reference symbols of conftest
 
 
 def _reference_project(grid, modes):
-    kx, ky, kz = grid.deriv_symbols
+    (kx, ky, kz), _ = reference_symbols(grid.n, grid.length)
     k2 = kx**2 + ky**2 + kz**2
     k2 = np.where(k2 > 0.0, k2, 1.0)
     compression = (kx * modes[0] + ky * modes[1] + kz * modes[2]) / k2
@@ -372,7 +377,7 @@ def _reference_project(grid, modes):
 def _reference_nonlinear(grid, modes, mask):
     n3 = grid.n**3
     u = [np.fft.ifftn(modes[i] * n3).real for i in range(3)]
-    symbols = grid.deriv_symbols
+    symbols, _ = reference_symbols(grid.n, grid.length)
     products = {}
     for i in range(3):
         for j in range(i, 3):
@@ -390,7 +395,8 @@ def reference_step(grid, modes, config):
     """One full-spectrum RK4 step with the exact viscous factor."""
     dt = config.dt
     mask = grid.dealias_mask(config.dealias_fraction)
-    decay_half = np.exp(-config.viscosity * grid.k_squared * (dt / 2.0))
+    _, k_squared = reference_symbols(grid.n, grid.length)
+    decay_half = np.exp(-config.viscosity * k_squared * (dt / 2.0))
     decay_full = decay_half * decay_half
 
     def rhs(m):
