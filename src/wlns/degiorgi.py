@@ -391,10 +391,6 @@ class EnergyBudgetReport:
     def min_slack(self) -> float:
         return float(np.min(self.slack))
 
-    @property
-    def max_rate_residual(self) -> float:
-        return float(np.max(np.abs(self.rate_residual))) if len(self.rate_residual) else 0.0
-
 
 def budget_cutoff(cmap: CylinderMap) -> CutoffFunction:
     """Smooth weight equal to 1 on the mapped ``Q_0``, 0 outside ``Q_{-1}``.

@@ -10,8 +10,10 @@ Transforms follow the convention that the mode array of a constant field
 the mean of ``|f|^2`` is the sum of ``|modes|^2`` with the last-axis modes
 ``1..n/2-1`` counted twice, once for their conjugates (discrete Parseval).
 
-This module holds the package's only transform pair and the spectral
-operators of each grid; the solver builds on both.
+This module holds the package's transforms and the spectral operators of
+each grid; the solver builds on both.  The modes a dealias mask keeps form
+a box ``|m_j| <= K``, held as a dense ``(..., 2K+1, 2K+1, K+1)`` block (the
+whole half spectrum when nothing is cut) with a pruned inverse transform.
 """
 
 from __future__ import annotations
@@ -129,9 +131,6 @@ class ScalarField:
     def mean(self) -> float:
         return float(self.values.mean())
 
-    def integral(self) -> float:
-        return float(self.values.sum() * self.grid.cell_volume)
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -186,7 +185,7 @@ def _band_mask(mode_numbers: np.ndarray, max_mode: float, width: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# The transform pair and the spectral operators of a grid
+# The transforms and the spectral operators of a grid
 #
 # ``scipy.fft`` is looked up at every call so the transforms honour the
 # worker count of an enclosing ``scipy.fft.set_workers``.
@@ -214,13 +213,13 @@ class _Operators:
     the projection/pressure algebra Hermitian and exactly consistent with
     them; the substituted 1 only appears where every symbol vanishes, and
     there the numerators vanish too.  ``kz`` and ``k2`` keep the full last
-    axis so they can be sliced to either layout.  The dealias mask and the
+    axis so they can be sliced to either layout.  The kept blocks and the
     viscous factors of a solver config are built on first use and kept.
     """
 
     def __init__(self, grid: Grid):
         # plain values only: the cache entry must not keep the grid alive
-        self._n, self._modes = grid.n, grid.mode_numbers
+        self.n, self._modes = grid.n, grid.mode_numbers
         self.half = grid.n // 2 + 1
         self._k1 = (TWO_PI / grid.length) * self._modes.astype(np.float64)
         k1 = self._k1.copy()
@@ -228,27 +227,91 @@ class _Operators:
         self.kx, self.ky, self.kz = k1[:, None, None], k1[None, :, None], k1[None, None, :]
         k2 = self.kx**2 + self.ky**2 + self.kz**2
         self.k2 = np.where(k2 > 0.0, k2, 1.0)
-        self._masks: dict[float, np.ndarray] = {}
-        self._decays: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[float, _Block] = {}
+        self._decays: dict[tuple[float, float, float], tuple[np.ndarray, np.ndarray]] = {}
 
     def symbols(self, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(kx, ky, kz, k2)`` for modes whose last axis has ``width`` entries."""
         return self.kx, self.ky, self.kz[..., :width], self.k2[..., :width]
 
-    def mask(self, fraction: float) -> np.ndarray:
-        """Half-spectrum part of ``Grid.dealias_mask(fraction)``."""
-        if fraction not in self._masks:
-            self._masks[fraction] = _band_mask(self._modes, fraction * self._n / 2.0, self.half)
-        return self._masks[fraction]
+    def block(self, fraction: float) -> _Block:
+        """The modes ``Grid.dealias_mask(fraction)`` keeps, with their half-spectrum mask."""
+        if fraction not in self._blocks:
+            mask = _band_mask(self._modes, fraction * self.n / 2.0, self.half)
+            self._blocks[fraction] = _Block(self, mask)
+        return self._blocks[fraction]
 
-    def decay(self, viscosity: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Viscous factors ``exp(-nu |k|^2 dt/2)`` and ``exp(-nu |k|^2 dt)``."""
-        if (viscosity, dt) not in self._decays:
+    def decay(self, viscosity: float, dt: float, fraction: float) -> tuple[np.ndarray, np.ndarray]:
+        """Viscous factors ``exp(-nu |k|^2 dt/2)``, ``exp(-nu |k|^2 dt)`` on ``block(fraction)``."""
+        key = viscosity, dt, fraction
+        if key not in self._decays:
             k, kh = self._k1, self._k1[: self.half]
             k_squared = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kh[None, None, :] ** 2
-            half = np.exp(-viscosity * k_squared * (dt / 2.0))
-            self._decays[viscosity, dt] = half, half * half
-        return self._decays[viscosity, dt]
+            half = self.block(fraction).gather(np.exp(-viscosity * k_squared * (dt / 2.0)))
+            self._decays[key] = half, half * half
+        return self._decays[key]
+
+
+class _Block:
+    """The modes a dealias ``mask`` keeps, as a dense ``(..., b, b, width)`` array.
+
+    Along x and y the kept modes ``0..K`` and ``-K..-1`` are two runs of the
+    FFT layout, put side by side; along z they are the first ``width``.
+    """
+
+    def __init__(self, ops: _Operators, mask: np.ndarray):
+        # the mask is a product of one keep vector per axis, and mode 0 is kept
+        n, keep, self.mask = ops.n, mask[:, 0, 0], mask
+        lead, size = int(keep[: n // 2].sum()), int(keep.sum())
+        self.n, self.half, self.width = n, ops.half, int(mask[0, 0].sum())
+        self.shape = (size, size, self.width)
+        # (block, half spectrum) index ranges of the two runs along x and y
+        self._runs = ((slice(0, lead),) * 2, (slice(lead, size), slice(n - size + lead, n)))
+        self._cut = slice(lead, n - size + lead)  # the half spectrum's rows between the runs
+        index, kz = np.flatnonzero(keep), ops.kz[..., : self.width]
+        self.symbols = ops.kx[index], ops.ky[:, index], kz, self.gather(ops.k2)
+        self._buffers: dict[tuple, list[np.ndarray]] = {}  # see inverse
+
+    def gather(self, modes: np.ndarray) -> np.ndarray:
+        """The block of ``(..., n, n, m)`` modes, ``m >= width``."""
+        out = np.empty((*modes.shape[:-3], *self.shape), dtype=modes.dtype)
+        for bx, fx in self._runs:
+            for by, fy in self._runs:
+                out[..., bx, by, :] = modes[..., fx, fy, : self.width]
+        return out
+
+    def scatter(self, block: np.ndarray) -> np.ndarray:
+        """The half spectrum holding ``block``, zero outside it."""
+        out = np.zeros((*block.shape[:-3], self.n, self.n, self.half), dtype=block.dtype)
+        for bx, fx in self._runs:
+            for by, fy in self._runs:
+                out[..., fx, fy, : self.width] = block[..., bx, by, :]
+        return out
+
+    def inverse(self, block: np.ndarray) -> np.ndarray:
+        """``_inverse`` of ``scatter(block)`` bit for bit, skipping lines that stay zero.
+
+        The axes go in ``irfftn``'s order, x then y then z, in two buffers
+        kept per leading shape, so a call allocates little beyond its result.
+        """
+        batch = block.shape[:-3]
+        if batch not in self._buffers:
+            sizes = ((self.shape[1], self.width), (self.n, self.half))
+            self._buffers[batch] = [np.zeros((*batch, self.n, *m), dtype=complex) for m in sizes]
+        x_lines, y_lines = self._buffers[batch]
+        y_kept = y_lines[..., : self.width]
+        # the last call's transforms filled the rows outside the block
+        x_lines[..., self._cut, :, :] = 0.0
+        y_kept[..., self._cut, :] = 0.0
+        for b, f in self._runs:
+            x_lines[..., f, :, :] = block[..., b, :, :]
+        done = scipy.fft.ifft(x_lines, axis=-3, norm="forward", overwrite_x=True)
+        for b, f in self._runs:
+            y_kept[..., f, :] = done[..., b, :]
+        done = scipy.fft.ifft(y_kept, axis=-2, norm="forward", overwrite_x=True)
+        if not np.may_share_memory(done, y_kept):  # overwrite_x permits in place, no more
+            y_kept[...] = done
+        return scipy.fft.irfft(y_lines, n=self.n, axis=-1, norm="forward")
 
 
 # one entry per live grid; equal grids share it, and it goes with the last
@@ -369,6 +432,8 @@ def laplacian(field: ScalarField | SpectralField) -> ScalarField:
     kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
     sym = -(kx**2 + ky**2 + kz**2)
     return ScalarField(grid, _inverse(grid, sym * modes))
+
+
 def sample_scalar(grid: Grid, func: Callable) -> ScalarField:
     """Evaluate ``func(X, Y, Z)`` on the grid."""
     X, Y, Z = grid.coordinates

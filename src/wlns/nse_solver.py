@@ -8,7 +8,9 @@ nonlinear term with the viscous semigroup handled exactly by an
 integrating factor, so a pure heat mode decays with machine-precision
 accuracy at any step size.
 Quadratic products are formed in physical space and dealiased by the
-2/3 rule.
+2/3 rule.  Every mode the rule cuts is zero at every stage, so the RK4
+stages run on ``wlns.field``'s kept block of modes, and each stage goes
+back to physical space through that block's pruned inverse transform.
 
 The module also recovers the pressure by a spectral Poisson solve and
 evaluates the localized energy-balance residual against a smooth
@@ -164,7 +166,11 @@ def to_physical(grid: Grid, modes: np.ndarray) -> VectorField:
 
 def leray_project(grid: Grid, modes: np.ndarray) -> np.ndarray:
     """Mode-wise ``(I - k k^T / |k|^2)``; the mean mode passes through."""
-    kx, ky, kz, k2 = _operators(grid).symbols(modes.shape[-1])
+    return _project(modes, *_operators(grid).symbols(modes.shape[-1]))
+
+
+def _project(modes: np.ndarray, kx, ky, kz, k2) -> np.ndarray:
+    """:func:`leray_project` with the symbols of the layout of ``modes``."""
     compression = (kx * modes[0] + ky * modes[1] + kz * modes[2]) / k2
     out = modes.copy()
     out[0] -= kx * compression
@@ -198,18 +204,20 @@ def _product_modes(u: np.ndarray, weight: np.ndarray | None = None) -> np.ndarra
     return _forward(products)
 
 
-def _advection(grid: Grid, u: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """:func:`nonlinear_term` of the stacked physical velocity ``u``."""
+def _advection(u: np.ndarray, symbols: tuple, factor, block=None) -> np.ndarray:
+    """``factor * k_j (u_i u_j)^`` of the stacked physical velocity ``u``, on ``block`` if given."""
     products = _product_modes(u)
     # a non-finite product leaves its transform non-finite: one scan
     # covers all six
     if not np.isfinite(products).all():
         raise BlowUpError("overflow in physical-space product", last_time=math.nan)
-    kx, ky, kz, _ = _operators(grid).symbols(products.shape[-1])
+    if block is not None:
+        products = block.gather(products)
+    kx, ky, kz, _ = symbols
     out = np.empty((3, *products.shape[1:]), dtype=np.complex128)
     for i, (a, b, c) in enumerate(_PAIR_INDEX):
         out[i] = kx * products[a] + ky * products[b] + kz * products[c]
-    out *= 1j * mask[..., : out.shape[-1]]
+    out *= factor
     return out
 
 
@@ -221,7 +229,8 @@ def nonlinear_term(grid: Grid, modes: np.ndarray, mask: np.ndarray) -> np.ndarra
     ``leray_project`` as the scheme requires.  ``modes`` is a half
     spectrum; ``mask`` may be half or full (``Grid.dealias_mask``).
     """
-    return _advection(grid, _inverse(grid, modes), mask)
+    ops = _operators(grid)
+    return _advection(_inverse(grid, modes), ops.symbols(ops.half), 1j * mask[..., : ops.half])
 
 
 def pressure_from_velocity(
@@ -229,22 +238,20 @@ def pressure_from_velocity(
 ) -> ScalarField:
     """Mean-zero spectral solve of ``-Lap P = div div (u (x) u)``.
 
-    ``P^(k) = -(k_i k_j / |k|^2) (u_i u_j)^(k)``; an optional pointwise
-    ``weight`` multiplies the tensor before the solve (used for the
-    high/low pressure split).
+    ``P^(k) = -(k_i k_j / |k|^2) (u_i u_j)^(k)``, solved on the modes the
+    dealias mask keeps; an optional pointwise ``weight`` multiplies the
+    tensor before the solve (used for the high/low pressure split).
     """
-    grid = u.grid
-    ops = _operators(grid)
-    products = _product_modes(u.as_array(), weight)
-    *k, k2 = ops.symbols(products.shape[-1])
-    phat = np.zeros(products.shape[1:], dtype=np.complex128)
+    block = _operators(u.grid).block(dealias_fraction)
+    products = block.gather(_product_modes(u.as_array(), weight))
+    *k, k2 = block.symbols
+    phat = np.zeros(block.shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(_PAIRS):
         # an off-diagonal entry stands for both (i, j) and (j, i)
         phat -= (k[i] * k[j] * (1.0 if i == j else 2.0)) * products[idx]
     phat /= k2
-    phat *= ops.mask(dealias_fraction)
     phat[0, 0, 0] = 0.0
-    return ScalarField(grid, _inverse(grid, phat))
+    return ScalarField(u.grid, block.inverse(phat))
 
 
 def pressure_split(
@@ -270,7 +277,7 @@ class SolverState:
 
     @classmethod
     def from_velocity(cls, u: VectorField, config: SolverConfig) -> "SolverState":
-        mask = _operators(u.grid).mask(config.dealias_fraction)
+        mask = _operators(u.grid).block(config.dealias_fraction).mask
         modes = leray_project(u.grid, to_spectral(u) * mask)
         return cls(grid=u.grid, time=0.0, step_index=0, modes=modes)
 
@@ -290,35 +297,39 @@ class SolverState:
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One RK4 step with the viscous factor applied exactly per substage.
 
-    Stage 1 starts from ``state.physical``, so a state whose velocity was
-    already read costs no extra inverse transform.
+    The stages run on the block of modes the dealias mask keeps, dropping
+    any content of ``state.modes`` outside it (``from_velocity`` leaves
+    none).  Stage 1 starts from ``state.physical``; the new state's
+    ``physical`` is seeded from the block, so a step costs 36 transforms.
     """
-    grid = state.grid
     dt = config.dt
-    ops = _operators(grid)
-    mask = ops.mask(config.dealias_fraction)
-    decay_half, decay_full = ops.decay(config.viscosity, dt)
+    ops = _operators(state.grid)
+    block = ops.block(config.dealias_fraction)
+    decay_half, decay_full = ops.decay(config.viscosity, dt, config.dealias_fraction)
 
     # minus the right-hand side; the sign is carried by the RK4 weights,
     # which flips no bit of the result
     def advect(u):
-        return leray_project(grid, _advection(grid, u, mask))
+        return _project(_advection(u, block.symbols, 1j, block), *block.symbols)
 
-    u0 = state.modes
+    u0 = block.gather(state.modes)
     a1 = advect(state.physical)
-    a2 = advect(_inverse(grid, decay_half * (u0 - 0.5 * dt * a1)))
-    a3 = advect(_inverse(grid, decay_half * u0 - 0.5 * dt * a2))
-    a4 = advect(_inverse(grid, decay_full * u0 - dt * decay_half * a3))
+    a2 = advect(block.inverse(decay_half * (u0 - 0.5 * dt * a1)))
+    a3 = advect(block.inverse(decay_half * u0 - 0.5 * dt * a2))
+    a4 = advect(block.inverse(decay_full * u0 - dt * decay_half * a3))
     new = decay_full * u0 - (dt / 6.0) * (decay_full * a1 + 2.0 * decay_half * (a2 + a3) + a4)
-    new = leray_project(grid, new)
+    new = _project(new, *block.symbols)
     if not np.all(np.isfinite(new)):
         raise BlowUpError("non-finite modes after step", last_time=state.time)
-    return replace(
+    following = replace(
         state,
         time=(state.step_index + 1) * dt,
         step_index=state.step_index + 1,
-        modes=new,
+        modes=block.scatter(new),
     )
+    # the value the cached property would compute, bit for bit
+    vars(following)["physical"] = block.inverse(new)
+    return following
 
 
 @dataclass

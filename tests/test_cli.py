@@ -268,26 +268,31 @@ class TestThreads:
     def test_cap_sets_solver_fft_workers(self, taylor_green_run, tmp_path, monkeypatch):
         import scipy.fft
 
+        # every scipy.fft entry point the package calls, with the worker count
+        # each call ran under
+        entry_points = ("rfftn", "irfftn", "ifft", "irfft")
         seen = []
-        for name in ("rfftn", "irfftn"):
+        for name in entry_points:
             original = getattr(scipy.fft, name)
 
-            def recording(*args, _original=original, **kwargs):
-                seen.append(scipy.fft.get_workers())
+            def recording(*args, _name=name, _original=original, **kwargs):
+                seen.append((_name, scipy.fft.get_workers()))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, recording)
         cfg = write_config(tmp_path, RANDOM_CFG)
         runs = (
-            ["simulate", str(cfg), "--out", str(tmp_path / "o")],
+            # the solver's step inverts through the pruned ifft/irfft lines
+            (["simulate", str(cfg), "--out", str(tmp_path / "o")], set(entry_points)),
             # the level-set energies reach the transforms through the field calculus
-            ["diagnose", str(taylor_green_run), "--q", "6.0", "--out", str(tmp_path / "d"),
-             "--cylinder-scale", "0.3", "--kmax", "1"],
+            (["diagnose", str(taylor_green_run), "--q", "6.0", "--out", str(tmp_path / "d"),
+              "--cylinder-scale", "0.3", "--kmax", "1"], {"rfftn", "irfftn"}),
         )
-        for argv in runs:
+        for argv, called in runs:
             seen.clear()
             assert main(["--threads", "3", *argv]) == 0
-            assert seen and set(seen) == {3}, argv[0]
+            assert {name for name, _ in seen} == called, argv[0]
+            assert {workers for _, workers in seen} == {3}, argv[0]
             assert scipy.fft.get_workers() == 1  # restored after the subcommand
 
     def test_env_fallback(self, tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from wlns.field import (
     sample_vector,
     write_snapshot,
 )
+from wlns.field import _inverse, _operators
 
 
 def random_scalar(grid, seed=0, scale=1.0):
@@ -192,6 +193,50 @@ class TestFieldCalculusOracle:
             close(divergence(source).values, div)
         close(gradient_squares(scalar), sum(g**2 for g in grad))
         close(gradient_squares(vector), v_grad2)
+
+
+class TestKeptBlock:
+    """The solver's kept-mode block against the masked half spectrum."""
+
+    FRACTIONS = [2.0 / 3.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("batch", [(3,), ()], ids=["vector", "scalar"])
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @pytest.mark.parametrize("n", [8, 24, 48, 64])
+    def test_pruned_inverse_and_round_trip(self, n, fraction, batch):
+        grid = Grid(n=n)
+        block = _operators(grid).block(fraction)
+        rng = np.random.default_rng(n)
+        shape = (*batch, *block.shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = block.scatter(b)
+        assert np.array_equal(block.gather(full), b)
+        assert np.array_equal(block.inverse(b), _inverse(grid, full))
+        # a second call on the reused buffers sees nothing of the first
+        assert np.array_equal(block.inverse(0.5 * b), _inverse(grid, 0.5 * full))
+
+    def test_pruned_inverse_without_in_place_transforms(self, monkeypatch):
+        import scipy.fft
+
+        grid = Grid(n=24)
+        block = _operators(grid).block(2.0 / 3.0)
+        b = np.random.default_rng(1).standard_normal((3, *block.shape)) + 0j
+        want = _inverse(grid, block.scatter(b))
+        original = scipy.fft.ifft
+        # overwrite_x lets scipy transform in place but does not promise it
+        monkeypatch.setattr(scipy.fft, "ifft", lambda x, *args, **kw: original(x.copy(), *args, **kw))
+        assert np.array_equal(block.inverse(b), want)
+        assert np.array_equal(block.inverse(b), want)
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @pytest.mark.parametrize("n", [8, 24, 48, 64])
+    def test_block_is_the_dealias_mask(self, n, fraction):
+        grid = Grid(n=n)
+        ops = _operators(grid)
+        block = ops.block(fraction)
+        assert np.array_equal(block.scatter(np.ones(block.shape)) == 1.0, block.mask)
+        if fraction == 1.0:
+            assert block.shape == (n, n, n // 2 + 1)
 
 
 class TestRescale:

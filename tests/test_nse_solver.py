@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_symbols
+from conftest import masked_step, reference_symbols
 
 from wlns.field import (
     Grid,
@@ -458,6 +458,34 @@ class TestReferenceStep:
             assert np.max(np.abs(got.as_array() - want)) <= self.REL * np.max(np.abs(want))
         assert len(result.cfl) == len(cfl)
         np.testing.assert_allclose(result.cfl, cfl, rtol=self.REL, atol=0.0)
+
+
+class TestBlockStep:
+    """The step on the kept block against the masked half-spectrum step."""
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_bit_identical_to_masked_step(self, n, fraction):
+        grid = Grid(n=n)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01, dealias_fraction=fraction)
+        state = SolverState.from_velocity(random_divfree(grid, seed=n, amplitude=2.0), config)
+        modes = state.modes
+        for _ in range(5):
+            state = step(state, config)
+            modes = masked_step(grid, modes, config)
+            assert np.array_equal(state.modes, modes)
+            assert np.array_equal(state.physical, to_physical(grid, modes).as_array())
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
+    def test_modes_outside_block_stay_zero(self, fraction):
+        grid = Grid(n=16)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01, dealias_fraction=fraction)
+        states = []
+        run(random_divfree(grid, seed=3, amplitude=2.0), config, callback=states.append)
+        cut = ~grid.dealias_mask(fraction)[..., : grid.n // 2 + 1]
+        assert len(states) == config.n_steps
+        for state in states:
+            assert np.all(state.modes[:, cut] == 0.0)
 
 
 class TestScalingEquivariance:
