@@ -18,26 +18,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import Optional, Sequence
 
-_THREAD_ENV_VARS = (
-    "WLNS_THREADS",
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-)
-
-
-def _apply_thread_cap(threads: Optional[int]) -> Optional[int]:
-    """Resolve the thread cap (flag beats WLNS_THREADS) and export it.
+def _resolve_thread_cap(threads: Optional[int]) -> Optional[int]:
+    """Resolve the thread cap (flag beats WLNS_THREADS).
 
     :func:`main` runs the subcommand with the cap as the ``scipy.fft``
-    worker count.  The cap is also pushed into the usual BLAS/OpenMP
-    environment variables, which reach only pools created after this point
-    (child processes, libraries not yet loaded); outputs must not depend
-    on it.
+    worker count; outputs must not depend on it.
     """
     if threads is None:
         env = os.environ.get("WLNS_THREADS")
@@ -46,25 +35,27 @@ def _apply_thread_cap(threads: Optional[int]) -> Optional[int]:
                 threads = int(env)
             except ValueError:
                 raise SystemExit(f"WLNS_THREADS must be an integer, got '{env}'")
-    if threads is not None:
-        if threads < 1:
-            raise SystemExit("thread cap must be >= 1")
-        for name in _THREAD_ENV_VARS[1:]:
-            os.environ[name] = str(threads)
+    if threads is not None and threads < 1:
+        raise SystemExit("thread cap must be >= 1")
     return threads
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+def _file_entry(out_dir: Path, name: str) -> dict:
+    path, digest = out_dir / name, hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    return {"path": name, "sha256": digest.hexdigest(), "bytes": path.stat().st_size}
 
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written next to every file-producing run."""
+    """Reproducibility record written next to every file-producing run.
+
+    :meth:`start` creates the output directory, :meth:`output` registers a
+    file in it, and :meth:`write` checksums the registered files into
+    ``manifest.json``.
+    """
 
     subcommand: str
     config: dict
@@ -76,39 +67,26 @@ class RunManifest:
     wall_seconds: float = 0.0
     outputs: list = dc_field(default_factory=list)
 
-    def start(self):
+    def start(self, out: str):
+        self.out_dir = Path(out)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._names = []
         self._t0 = time.monotonic()
         self.started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
         return self
 
-    def add_output(self, out_dir: Path, path: Path):
-        self.outputs.append(
-            {
-                "path": str(path.relative_to(out_dir)),
-                "sha256": _sha256(path),
-                "bytes": path.stat().st_size,
-            }
-        )
+    def output(self, name: str) -> Path:
+        self._names.append(name)
+        return self.out_dir / name
 
-    def write(self, out_dir: Path):
+    def write(self):
         from wlns import __version__
 
         self.finished_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.wall_seconds = time.monotonic() - self._t0
-        payload = {
-            "subcommand": self.subcommand,
-            "version": __version__,
-            "config": self.config,
-            "seed": self.seed,
-            "threads": self.threads,
-            "halted": self.halted,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "wall_seconds": self.wall_seconds,
-            "outputs": sorted(self.outputs, key=lambda o: o["path"]),
-        }
-        with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        self.outputs = [_file_entry(self.out_dir, name) for name in sorted(self._names)]
+        with open(self.out_dir / "manifest.json", "w") as fh:
+            json.dump({**asdict(self), "version": __version__}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -241,11 +219,9 @@ def _cmd_simulate(args) -> int:
     except (OSError, configparser.Error, ValueError) as exc:
         return _fail(str(exc))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         "simulate", snapshot, seed=seed, threads=args.threads_resolved
-    ).start()
+    ).start(args.out)
 
     halted = None
     try:
@@ -255,20 +231,16 @@ def _cmd_simulate(args) -> int:
         result = exc.result
     if result is not None:
         if result.trace is not None:
-            trace_path = out_dir / "trace.csv"
-            result.trace.to_csv(trace_path)
-            manifest.add_output(out_dir, trace_path)
+            result.trace.to_csv(manifest.output("trace.csv"))
         if snaps:
             for i, (t, u) in enumerate(zip(result.times, result.snapshots)):
-                path = out_dir / f"{prefix}_{i:06d}.bin"
-                write_snapshot(path, float(t), u)
-                manifest.add_output(out_dir, path)
+                write_snapshot(manifest.output(f"{prefix}_{i:06d}.bin"), float(t), u)
     manifest.halted = halted
-    manifest.write(out_dir)
+    manifest.write()
     if halted is not None:
         print(f"halted: {halted}", file=sys.stderr)
         return 2
-    print(f"simulate: {len(result.times)} snapshots -> {out_dir}")
+    print(f"simulate: {len(result.times)} snapshots -> {manifest.out_dir}")
     return 0
 
 
@@ -303,26 +275,27 @@ def _cmd_diagnose(args) -> int:
     times = [times[i] for i in order]
     fields = [fields[i] for i in order]
     grid = fields[0].grid
+    if args.cylinder_scale is not None:
+        try:
+            center = (
+                _parse_triplet(args.cylinder_center, "--cylinder-center")
+                if args.cylinder_center
+                else (grid.length / 2.0,) * 3
+            )
+            cmap = CylinderMap(center=center, scale=args.cylinder_scale, t_end=times[-1])
+            cmap.validate(grid)
+            scheme = CylinderScheme(args.kmax)
+        except ValueError as exc:
+            return _fail(str(exc))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         "diagnose",
         {"snapshots": args.snapshots, "q": args.q, "cylinder_scale": args.cylinder_scale},
         threads=args.threads_resolved,
-    ).start()
+    ).start(args.out)
 
     rows = [evaluate_row(u, args.q, t=t) for t, u in zip(times, fields)]
-    trace_path = out_dir / "trace.csv"
-    CriterionTrace.from_rows(args.q, rows).to_csv(trace_path)
-    manifest.add_output(out_dir, trace_path)
-
     if args.cylinder_scale is not None:
-        center = (
-            _parse_triplet(args.cylinder_center, "--cylinder-center")
-            if args.cylinder_center
-            else (grid.length / 2.0,) * 3
-        )
         dt = times[1] - times[0]
         stub = SolverConfig(dt=max(dt, 1e-12), t_end=max(times[-1], dt, 1e-12))
         result = SimulationResult(
@@ -333,17 +306,14 @@ def _cmd_diagnose(args) -> int:
             cfl=np.empty(0),
             trace=None,
         )
-        cmap = CylinderMap(center=center, scale=args.cylinder_scale, t_end=times[-1])
         try:
-            table = level_energy(result, CylinderScheme(args.kmax), cmap)
+            table = level_energy(result, scheme, cmap)
         except ValueError as exc:
             return _fail(str(exc))
-        levels_path = out_dir / "levels.csv"
-        table.to_csv(levels_path)
-        manifest.add_output(out_dir, levels_path)
-
-    manifest.write(out_dir)
-    print(f"diagnose: {len(times)} snapshots -> {out_dir}")
+        table.to_csv(manifest.output("levels.csv"))
+    CriterionTrace.from_rows(args.q, rows).to_csv(manifest.output("trace.csv"))
+    manifest.write()
+    print(f"diagnose: {len(times)} snapshots -> {manifest.out_dir}")
     return 0
 
 
@@ -357,6 +327,7 @@ def _cmd_counterexample(args) -> int:
         criterion_vs_lorentz,
         write_schedule_csv,
     )
+    from wlns.field import write_table
 
     try:
         schedule = DyadicSchedule(q=args.q, t_inf=args.t_inf)
@@ -364,34 +335,23 @@ def _cmd_counterexample(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         "counterexample",
         {"q": args.q, "r": args.r, "terms": args.terms, "t_inf": args.t_inf},
         threads=args.threads_resolved,
-    ).start()
+    ).start(args.out)
 
-    schedule_path = out_dir / "schedule.csv"
-    write_schedule_csv(schedule_path, schedule, n_terms=args.terms, r=args.r)
-    manifest.add_output(out_dir, schedule_path)
-
-    separation_path = out_dir / "separation.csv"
-    with open(separation_path, "w") as fh:
-        fh.write(
-            "N,criterion_partial,criterion_upper_bound,"
-            "time_norm_log2,time_norm,time_norm_direct\n"
-        )
-        for i, n in enumerate(report.checkpoints):
-            fh.write(
-                f"{int(n)},{float(report.criterion_partials[i])!r},"
-                f"{float(report.criterion_upper_bound)!r},"
-                f"{float(report.time_norm_log2[i])!r},"
-                f"{float(report.time_norms[i])!r},"
-                f"{float(report.time_norms_direct[i])!r}\n"
-            )
-    manifest.add_output(out_dir, separation_path)
-    manifest.write(out_dir)
+    write_schedule_csv(manifest.output("schedule.csv"), schedule, n_terms=args.terms, r=args.r)
+    columns = {
+        "N": report.checkpoints,
+        "criterion_partial": report.criterion_partials,
+        "criterion_upper_bound": [report.criterion_upper_bound] * len(report.checkpoints),
+        "time_norm_log2": report.time_norm_log2,
+        "time_norm": report.time_norms,
+        "time_norm_direct": report.time_norms_direct,
+    }
+    write_table(manifest.output("separation.csv"), columns, index="N")
+    manifest.write()
 
     print(
         f"criterion partial sum at N={args.terms}: "
@@ -444,24 +404,19 @@ def _cmd_gronwall(args) -> int:
     try:
         times, values = read_signal_csv(args.b_csv)
         problem = BoundProblem.from_samples(times, values, c=args.C, h0=args.H0)
+        solution = solve_bound(problem, dt=args.dt)
     except (OSError, ValueError) as exc:
         return _fail(f"{args.b_csv}: {exc}")
-
-    solution = solve_bound(problem, dt=args.dt)
     deviations = implicit_check(solution)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         "gronwall",
         {"b_csv": args.b_csv, "C": args.C, "H0": args.H0, "dt": args.dt},
         threads=args.threads_resolved,
-    ).start()
-    bound_path = out_dir / "bound.csv"
-    write_bound_csv(bound_path, solution, deviations)
-    manifest.add_output(out_dir, bound_path)
+    ).start(args.out)
+    write_bound_csv(manifest.output("bound.csv"), solution, deviations)
     manifest.halted = solution.note or None
-    manifest.write(out_dir)
+    manifest.write()
 
     if solution.overflowed:
         print(f"halted: {solution.note}", file=sys.stderr)
@@ -509,9 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker threads of every scipy.fft transform in the package "
-        "(solver, pressure and field calculus); also exported to "
-        "OMP/OPENBLAS/MKL_NUM_THREADS for child processes (fallback: "
-        "WLNS_THREADS); outputs are identical for any cap",
+        "(solver, pressure and field calculus; fallback: WLNS_THREADS); "
+        "outputs are identical for any cap",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -573,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.threads_resolved = _apply_thread_cap(args.threads)
+        args.threads_resolved = _resolve_thread_cap(args.threads)
     except SystemExit as exc:
         return _fail(str(exc))
     if args.threads_resolved is None:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from wlns.criteria import prodi_serrin_p
-from wlns.field import Grid, ScalarField
+from wlns.field import Grid, ScalarField, write_table
 from wlns.lorentz import lorentz_time_norm
 
 _LN2 = math.log(2.0)
@@ -502,18 +502,16 @@ def write_schedule_csv(
     """Per-interval table: geometry, bound terms, and both partial sums."""
     claim1 = claim1_terms(schedule, n_terms)
     claim2 = claim2_lower_bound(schedule, max(n_terms, 2), r)
-    with open(path, "w", newline="") as fh:
-        fh.write("n,m_n,k_n,t_n,t_n_star,term_n,partial_claim1,partial_claim2_r\n")
-        for i, n in enumerate(claim1.ns):
-            start, stop = schedule.interval(int(n))
-            row = [
-                str(int(n)),
-                repr(float(schedule.m(int(n)))),
-                repr(float(schedule.k(int(n)))),
-                repr(float(start)),
-                repr(float(stop)),
-                repr(float(claim1.terms[i])),
-                repr(float(claim1.partial_sums[i])),
-                repr(float(claim2.partial_sums[min(i, len(claim2.partial_sums) - 1)])),
-            ]
-            fh.write(",".join(row) + "\n")
+    ns = [int(n) for n in claim1.ns]
+    starts, stops = zip(*(schedule.interval(n) for n in ns))
+    columns = {
+        "n": ns,
+        "m_n": [schedule.m(n) for n in ns],
+        "k_n": [schedule.k(n) for n in ns],
+        "t_n": starts,
+        "t_n_star": stops,
+        "term_n": claim1.terms,
+        "partial_claim1": claim1.partial_sums,
+        "partial_claim2_r": claim2.partial_sums[: len(ns)],
+    }
+    write_table(path, columns, index="n")

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from wlns.field import ScalarField, VectorField
+from wlns.field import ScalarField, VectorField, write_table
 from wlns.gronwall import psi
 from wlns.lorentz import DistributionFunction, lebesgue_norm, weak_norm
 
@@ -204,26 +204,8 @@ class CriterionTrace:
         }
 
     def to_csv(self, path) -> None:
-        cum = self.accumulated()
-        columns = [
-            self.t,
-            self.sup_norm,
-            self.weak_q,
-            self.strong_q,
-            self.weak_sigma,
-            self.i_lps,
-            self.i_zl,
-            self.i_wlog,
-            self.i_remark,
-            cum["C_lps"],
-            cum["C_zl"],
-            cum["C_wlog"],
-            cum["C_remark"],
-        ]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                fh.write(",".join(repr(float(col[i])) for col in columns) + "\n")
+        cols = (getattr(self, f.name) for f in fields(TraceRow))
+        write_table(path, {**dict(zip(TRACE_COLUMNS, cols)), **self.accumulated()})
 
     @classmethod
     def from_csv(cls, path, q: float) -> "CriterionTrace":
@@ -241,18 +223,7 @@ class CriterionTrace:
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
         arr = np.array(data)
-        return cls(
-            q=q,
-            t=arr[:, 0],
-            sup_norm=arr[:, 1],
-            weak_q=arr[:, 2],
-            strong_q=arr[:, 3],
-            weak_sigma=arr[:, 4],
-            i_lps=arr[:, 5],
-            i_zl=arr[:, 6],
-            i_wlog=arr[:, 7],
-            i_remark=arr[:, 8],
-        )
+        return cls(q=q, **{f.name: arr[:, i] for i, f in enumerate(fields(TraceRow))})
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from wlns.field import (
     ball_boundary_cells,
     ball_mask,
     gradient_squares,
+    write_table,
 )
 from wlns.nse_solver import (
     CutoffFunction,
@@ -160,19 +161,16 @@ class LevelSetEnergy:
         return self.sup_term + self.diss_term
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("k,T_k,radius_k,threshold_k,sup_term,diss_term,U_k\n")
-            for i in range(len(self.k)):
-                row = [
-                    str(int(self.k[i])),
-                    repr(float(self.window_start[i])),
-                    repr(float(self.radius[i])),
-                    repr(float(self.threshold[i])),
-                    repr(float(self.sup_term[i])),
-                    repr(float(self.diss_term[i])),
-                    repr(float(self.total[i])),
-                ]
-                fh.write(",".join(row) + "\n")
+        columns = {
+            "k": self.k,
+            "T_k": self.window_start,
+            "radius_k": self.radius,
+            "threshold_k": self.threshold,
+            "sup_term": self.sup_term,
+            "diss_term": self.diss_term,
+            "U_k": self.total,
+        }
+        write_table(path, columns, index="k")
 
 
 MIN_WINDOW_SAMPLES = 10

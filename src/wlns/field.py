@@ -579,3 +579,27 @@ def read_vector_snapshot(path) -> tuple[float, VectorField]:
     if len(fields) != 3:
         raise SnapshotFormatError(f"expected 3 fields, found {len(fields)}")
     return time, VectorField(grid, *fields)
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+#
+# One header line of column names, then one line per row: the index column
+# as ``str(int)`` and every other column as ``repr(float)``, so floats
+# round-trip exactly.
+# ---------------------------------------------------------------------------
+
+
+def write_table(path, columns: dict, index: str | None = None) -> None:
+    """Write equal-length named columns as a CSV table."""
+    if len({len(col) for col in columns.values()}) > 1:
+        raise ValueError("table columns must have equal lengths")
+    cells = [
+        map(str, np.asarray(col).astype(np.int64).tolist())
+        if name == index
+        else map(repr, np.asarray(col, dtype=np.float64).tolist())
+        for name, col in columns.items()
+    ]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

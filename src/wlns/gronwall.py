@@ -22,6 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from wlns.field import write_table
+
 E = math.e
 
 #: H values beyond this are treated as numeric overflow of the bound.
@@ -207,7 +209,15 @@ class BoundSolution:
     method: str
     dt: Optional[float]
     overflowed: bool = False
-    note: str = ""
+
+    @property
+    def note(self) -> str:
+        if not self.overflowed:
+            return ""
+        return (
+            "numeric overflow: H exceeded 1e300, contradicting the finite-integral "
+            "theory; check the B signal"
+        )
 
 
 def _psi_for(mode: str) -> Callable[[float], float]:
@@ -243,13 +253,7 @@ def _rk4(problem: BoundProblem, dt: float, psi_mode: str) -> BoundSolution:
             overflowed = True
             break
         h[i + 1] = y_next
-    note = ""
-    if overflowed:
-        note = (
-            "numeric overflow: H exceeded 1e300, contradicting the finite-integral "
-            "theory; check the B signal"
-        )
-    return BoundSolution(problem, times, h, psi_mode, "rk4", step, overflowed, note)
+    return BoundSolution(problem, times, h, psi_mode, "rk4", step, overflowed)
 
 
 def _exact_piecewise(problem: BoundProblem, dt: Optional[float], psi_mode: str) -> BoundSolution:
@@ -282,15 +286,7 @@ def _exact_piecewise(problem: BoundProblem, dt: Optional[float], psi_mode: str) 
         if overflowed:
             break
     h = np.asarray(out_h)
-    note = ""
-    if overflowed:
-        note = (
-            "numeric overflow: H exceeded 1e300, contradicting the finite-integral "
-            "theory; check the B signal"
-        )
-    return BoundSolution(
-        problem, np.asarray(out_t), h, psi_mode, "exact", dt, overflowed, note
-    )
+    return BoundSolution(problem, np.asarray(out_t), h, psi_mode, "exact", dt, overflowed)
 
 
 def solve_bound(
@@ -316,6 +312,8 @@ def solve_bound(
     if method == "exact":
         if problem.b_times is None:
             raise ValueError("exact method needs a sampled (piecewise-constant) B")
+        if dt is not None and dt <= 0:
+            raise ValueError(f"dt must be > 0, got {dt!r}")
         return _exact_piecewise(problem, dt, psi_mode)
     if method == "rk4":
         if dt is None or dt <= 0:
@@ -392,7 +390,4 @@ def write_bound_csv(path, solution: BoundSolution, deviations: Optional[np.ndarr
     """Write the (t, H, deviation) table for a solved bound."""
     if deviations is None:
         deviations = implicit_check(solution)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,H,deviation\n")
-        for t, h, d in zip(solution.times, solution.h, deviations):
-            fh.write(f"{float(t)!r},{float(h)!r},{float(d)!r}\n")
+    write_table(path, {"t": solution.times, "H": solution.h, "deviation": deviations})

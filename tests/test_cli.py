@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 from pathlib import Path
 
@@ -186,6 +187,25 @@ class TestDiagnose:
         assert "at least two snapshots" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--cylinder-scale", "0.3", "--cylinder-center", "1,2"],
+             "error: --cylinder-center needs three comma-separated values, got '1,2'\n"),
+            (["--cylinder-scale", "5"], "shrink the scale"),
+            (["--cylinder-scale", "-0.3"], "error: scale must be positive\n"),
+        ],
+        ids=["center", "too-large", "negative"],
+    )
+    def test_bad_cylinder_rejected_before_output(
+        self, taylor_green_run, tmp_path, capsys, extra, message
+    ):
+        out = tmp_path / "diag"
+        argv = ["diagnose", str(taylor_green_run), "--q", "6.0", "--out", str(out), *extra]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCounterexample:
     def test_tables(self, tmp_path, capsys):
@@ -202,6 +222,14 @@ class TestCounterexample:
         assert np.all(np.diff(rows["time_norm"]) > 0)
         schedule = (out / "schedule.csv").read_text().splitlines()
         assert len(schedule) == 41
+
+    def test_one_term_writes_one_schedule_row(self, tmp_path):
+        # the claim-2 series needs two terms; the table keeps the first only
+        out = tmp_path / "cx"
+        assert main(["counterexample", "--terms", "1", "--out", str(out)]) == 0
+        schedule = (out / "schedule.csv").read_text().splitlines()
+        assert len(schedule) == 2
+        assert schedule[1].startswith("1,")
 
     def test_rejects_bad_exponent(self, tmp_path, capsys):
         assert main(["counterexample", "--q", "3", "--out", str(tmp_path)]) == 1
@@ -263,6 +291,15 @@ class TestGronwall:
         assert "numeric overflow" in capsys.readouterr().err
         assert (out / "bound.csv").exists()
 
+    @pytest.mark.parametrize("dt", ["0", "-0.5"])
+    def test_nonpositive_dt_rejected_before_output(self, tmp_path, capsys, dt):
+        b = tmp_path / "b.csv"
+        b.write_text("t,B\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")
+        out = tmp_path / "gw"
+        assert main(["gronwall", str(b), "--dt", dt, "--out", str(out)]) == 1
+        assert "dt must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestThreads:
     def test_cap_sets_solver_fft_workers(self, taylor_green_run, tmp_path, monkeypatch):
@@ -294,6 +331,13 @@ class TestThreads:
             assert {name for name, _ in seen} == called, argv[0]
             assert {workers for _, workers in seen} == {3}, argv[0]
             assert scipy.fft.get_workers() == 1  # restored after the subcommand
+
+    def test_cap_leaves_environment_unchanged(self, monkeypatch):
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        assert main(["--threads", "3", "recursive", "--C", "2", "--beta", "2", "--w0", "0.1"]) == 0
+        assert dict(os.environ) == before
 
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WLNS_THREADS", "2")

@@ -22,6 +22,7 @@ from wlns.field import (
     sample_scalar,
     sample_vector,
     write_snapshot,
+    write_table,
 )
 from wlns.field import _inverse, _operators
 
@@ -341,6 +342,28 @@ class TestSnapshots:
         path.write_bytes(raw[:-16])
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+
+class TestTables:
+    def test_golden_text(self, tmp_path):
+        path = tmp_path / "table.csv"
+        columns = {
+            "k": np.array([0, 1, 2, 3]),
+            "x": np.array([0.1, 1.0 / 3.0, 1e-300, -0.0]),
+            "y": [2, 0.5, float("inf"), float("nan")],
+        }
+        write_table(path, columns, index="k")
+        assert path.read_bytes() == (
+            b"k,x,y\n"
+            b"0,0.1,2.0\n"
+            b"1,0.3333333333333333,0.5\n"
+            b"2,1e-300,inf\n"
+            b"3,-0.0,nan\n"
+        )
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equal lengths"):
+            write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
 
 
 def test_ball_mask_volume_converges():

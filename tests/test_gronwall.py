@@ -155,6 +155,12 @@ class TestSolveBound:
         with pytest.raises(ValueError):
             solve_bound(prob, 1e-2, psi_mode="cubic")
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5])
+    def test_exact_rejects_nonpositive_dt(self, dt):
+        prob = BoundProblem.from_samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.0], c=1.0, h0=1.0)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            solve_bound(prob, dt)
+
 
 class TestImplicitCheck:
     def test_exact_mode_is_tight(self):
