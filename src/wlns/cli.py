@@ -250,7 +250,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from wlns.criteria import CriterionTrace, evaluate_row
-    from wlns.degiorgi import CylinderMap, CylinderScheme, level_energy
+    from wlns.degiorgi import CylinderMap, CylinderScheme, level_energy, window_times
     from wlns.field import read_vector_snapshot
     from wlns.nse_solver import SimulationResult, SolverConfig
 
@@ -285,6 +285,7 @@ def _cmd_diagnose(args) -> int:
             cmap = CylinderMap(center=center, scale=args.cylinder_scale, t_end=times[-1])
             cmap.validate(grid)
             scheme = CylinderScheme(args.kmax)
+            window_times(times, scheme, cmap)
         except ValueError as exc:
             return _fail(str(exc))
 
@@ -306,11 +307,7 @@ def _cmd_diagnose(args) -> int:
             cfl=np.empty(0),
             trace=None,
         )
-        try:
-            table = level_energy(result, scheme, cmap)
-        except ValueError as exc:
-            return _fail(str(exc))
-        table.to_csv(manifest.output("levels.csv"))
+        level_energy(result, scheme, cmap).to_csv(manifest.output("levels.csv"))
     CriterionTrace.from_rows(args.q, rows).to_csv(manifest.output("trace.csv"))
     manifest.write()
     print(f"diagnose: {len(times)} snapshots -> {manifest.out_dir}")
@@ -401,6 +398,9 @@ def _cmd_gronwall(args) -> int:
 
     import numpy as np
 
+    for flag, value in (("--C", args.C), ("--H0", args.H0), ("--dt", args.dt)):
+        if value is not None and not value > 0:
+            return _fail(f"{flag} must be > 0, got {value!r}")
     try:
         times, values = read_signal_csv(args.b_csv)
         problem = BoundProblem.from_samples(times, values, c=args.C, h0=args.H0)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from wlns.criteria import prodi_serrin_p
 from wlns.field import Grid, ScalarField, write_table
@@ -279,6 +278,7 @@ def _interval_criterion_integral(schedule: DyadicSchedule, n: int) -> float:
     the giant prefactor against the interval length analytically, so the
     quadrature sees only O(1) numbers at every n.
     """
+    import scipy.integrate
     m = schedule.m(n)
     shrink = 2.0 ** (-schedule.p * m)  # harmless underflow for large n
     ln_t = math.log(schedule.t_inf)
@@ -288,7 +288,7 @@ def _interval_criterion_integral(schedule: DyadicSchedule, n: int) -> float:
         ln_y = m * _LN2 + 0.5 * (n * _LN2 - ln_t - math.log(w))
         return 1.0 / (w * (math.e + float(np.logaddexp(1.0, ln_y))))
 
-    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+    value, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
     return value
 
 

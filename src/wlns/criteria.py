@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from wlns.field import ScalarField, VectorField, write_table
 from wlns.gronwall import psi
@@ -164,6 +163,11 @@ def evaluate_row(u: VectorField, q: float, t: float) -> TraceRow:
     )
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral, scipy's ``cumulative_trapezoid(y, x, initial=0.0)``."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 @dataclass
 class CriterionTrace:
     """Column store of trace rows plus their cumulative integrals."""
@@ -190,17 +194,12 @@ class CriterionTrace:
         }
         return cls(q=q, **cols)
 
-    def cumulative(self, integrand: np.ndarray) -> np.ndarray:
-        if len(self.t) == 1:
-            return np.zeros(1)
-        return cumulative_trapezoid(integrand, self.t, initial=0.0)
-
     def accumulated(self) -> dict[str, np.ndarray]:
         return {
-            "C_lps": self.cumulative(self.i_lps),
-            "C_zl": self.cumulative(self.i_zl),
-            "C_wlog": self.cumulative(self.i_wlog),
-            "C_remark": self.cumulative(self.i_remark),
+            "C_lps": _cumulative_trapezoid(self.i_lps, self.t),
+            "C_zl": _cumulative_trapezoid(self.i_zl, self.t),
+            "C_wlog": _cumulative_trapezoid(self.i_wlog, self.t),
+            "C_remark": _cumulative_trapezoid(self.i_remark, self.t),
         }
 
     def to_csv(self, path) -> None:

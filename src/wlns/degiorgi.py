@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
+from wlns.criteria import _cumulative_trapezoid
 from wlns.field import (
     Grid,
     ScalarField,
@@ -176,6 +176,23 @@ class LevelSetEnergy:
 MIN_WINDOW_SAMPLES = 10
 
 
+def window_times(times, scheme: CylinderScheme, cmap: CylinderMap) -> np.ndarray:
+    """Reference times of the snapshots; raises ``ValueError`` unless they reach
+    the mapped cylinder's end with ``MIN_WINDOW_SAMPLES`` in every window."""
+    tau = np.array([cmap.reference_time(t) for t in times])
+    if tau.max() < 1.0 - 1e-9:
+        raise ValueError("trajectory ends before the mapped cylinder does")
+    for k in scheme.levels:
+        t_k = truncation_time(k)
+        count = int(np.count_nonzero((tau > t_k) & (tau <= 1.0 + 1e-12)))
+        if count < MIN_WINDOW_SAMPLES:
+            raise ValueError(
+                f"window (T_{k}, 1] holds {count} snapshots; need >= {MIN_WINDOW_SAMPLES} "
+                f"(reference cadence <= {(1.0 - t_k) / (MIN_WINDOW_SAMPLES - 1):.3g})"
+            )
+    return tau
+
+
 def level_energy(
     result: SimulationResult,
     scheme: CylinderScheme,
@@ -199,10 +216,7 @@ def level_energy(
     grid = result.grid
     cmap.validate(grid)
     s = cmap.scale
-    times = np.asarray(result.times)
-    tau = np.array([cmap.reference_time(t) for t in times])
-    if tau.max() < 1.0 - 1e-9:
-        raise ValueError("trajectory ends before the mapped cylinder does")
+    tau = window_times(result.times, scheme, cmap)
 
     # per-snapshot reference-field ingredients (shared across k)
     magnitudes = []
@@ -217,13 +231,6 @@ def level_energy(
     for k in scheme.levels:
         t_k = truncation_time(k)
         in_window = (tau > t_k) & (tau <= 1.0 + 1e-12)
-        count = int(np.count_nonzero(in_window))
-        if count < MIN_WINDOW_SAMPLES:
-            needed = (1.0 - t_k) / max(MIN_WINDOW_SAMPLES - 1, 1)
-            raise ValueError(
-                f"window (T_{k}, 1] holds {count} snapshots; need >= "
-                f"{MIN_WINDOW_SAMPLES} (reference cadence <= {needed:.3g})"
-            )
         radius_sim = cmap.sim_radius(cylinder_radius(k))
         mask = ball_mask(grid, cmap.center, radius_sim)
         theta = truncation_threshold(k)
@@ -467,7 +474,7 @@ def energy_budget(
     residual_times, rate = _rate_residual(times, h, terms, 4 if len(times) >= 5 else 2)
     kinetic = 2.0 * terms["quadratic"]
     transport, flux, dissipation = terms["transport"], terms["flux"], terms["dissipation"]
-    gain = cumulative_trapezoid(transport + flux - dissipation, times, initial=0.0)
+    gain = _cumulative_trapezoid(transport + flux - dissipation, times)
     return EnergyBudgetReport(
         times=times,
         kinetic=kinetic,

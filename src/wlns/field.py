@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
 SNAPSHOT_MAGIC = b"WLNS"
 SNAPSHOT_VERSION = 1
@@ -187,19 +186,21 @@ def _band_mask(mode_numbers: np.ndarray, max_mode: float, width: int | None = No
 # ---------------------------------------------------------------------------
 # The transforms and the spectral operators of a grid
 #
-# ``scipy.fft`` is looked up at every call so the transforms honour the
-# worker count of an enclosing ``scipy.fft.set_workers``.
+# ``scipy.fft`` is imported and looked up at every call, so ``import wlns``
+# stays free of it and the transforms honour ``scipy.fft.set_workers``.
 
 _AXES = (-3, -2, -1)
 
 
 def _forward(values: np.ndarray) -> np.ndarray:
     """Half-spectrum modes of real values, ``modes = fftn(values) / n**3``."""
+    import scipy.fft
     return scipy.fft.rfftn(values, axes=_AXES, norm="forward")
 
 
 def _inverse(grid: Grid, modes: np.ndarray) -> np.ndarray:
     """Real values of half-spectrum modes; inverse of :func:`_forward`."""
+    import scipy.fft
     return scipy.fft.irfftn(modes, s=grid.shape, axes=_AXES, norm="forward")
 
 
@@ -294,6 +295,7 @@ class _Block:
         The axes go in ``irfftn``'s order, x then y then z, in two buffers
         kept per leading shape, so a call allocates little beyond its result.
         """
+        import scipy.fft
         batch = block.shape[:-3]
         if batch not in self._buffers:
             sizes = ((self.shape[1], self.width), (self.n, self.half))

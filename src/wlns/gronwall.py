@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from wlns.field import write_table
 
@@ -46,9 +44,10 @@ def _damping_log(s: float) -> float:
 
 def _phi_increment(s_lo: float, s_hi: float) -> float:
     """``int_{e^s_lo}^{e^s_hi} dr/Psi(r)``, evaluated in log space."""
+    import scipy.integrate
     if s_hi == s_lo:
         return 0.0
-    value, _ = quad(_damping_log, s_lo, s_hi, epsabs=1e-13, epsrel=1e-12)
+    value, _ = scipy.integrate.quad(_damping_log, s_lo, s_hi, epsabs=1e-13, epsrel=1e-12)
     return value
 
 
@@ -59,6 +58,7 @@ def _phi_invert(s_lo: float, target: float) -> float:
     overflow; the integrand is positive and decreasing so the root is
     unique.
     """
+    import scipy.optimize
     if target == 0.0:
         return s_lo
     # the integrand is below 1/e everywhere, so s - s_lo >= e * target is
@@ -68,7 +68,7 @@ def _phi_invert(s_lo: float, target: float) -> float:
         if s_hi > 2.0 * _S_CEILING:
             return s_hi
         s_hi = s_lo + 2.0 * (s_hi - s_lo)
-    return brentq(
+    return scipy.optimize.brentq(
         lambda s: _phi_increment(s_lo, s) - target,
         s_lo,
         s_hi,
@@ -131,7 +131,7 @@ class BoundProblem:
     _b_total: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
-        if self.c <= 0 or self.h0 <= 0:
+        if not (self.c > 0 and self.h0 > 0):
             raise ValueError("c and h0 must be positive")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
@@ -141,7 +141,8 @@ class BoundProblem:
         if sampled:
             total = float(np.sum(self.b_values[:-1] * np.diff(self.b_times)))
         else:
-            total, _ = quad(self.b_func, self.t_start, self.t_end, limit=200)
+            import scipy.integrate
+            total, _ = scipy.integrate.quad(self.b_func, self.t_start, self.t_end, limit=200)
             probe = np.linspace(self.t_start, self.t_end, 65)
             checks = np.array([self.b_func(t) for t in probe], dtype=np.float64)
             if not np.all(np.isfinite(checks)) or np.any(checks < 0):
@@ -184,10 +185,11 @@ class BoundProblem:
         """``int_{t_start}^{t} B`` at each requested time (exact for samples)."""
         times = np.asarray(times, dtype=np.float64)
         if self.b_func is not None:
+            import scipy.integrate
             out = np.empty(times.size)
             acc, prev = 0.0, self.t_start
             for j, t in enumerate(times):
-                piece, _ = quad(self.b_func, prev, t, limit=200)
+                piece, _ = scipy.integrate.quad(self.b_func, prev, t, limit=200)
                 acc += piece
                 out[j] = acc
                 prev = t
@@ -312,11 +314,11 @@ def solve_bound(
     if method == "exact":
         if problem.b_times is None:
             raise ValueError("exact method needs a sampled (piecewise-constant) B")
-        if dt is not None and dt <= 0:
+        if dt is not None and not dt > 0:
             raise ValueError(f"dt must be > 0, got {dt!r}")
         return _exact_piecewise(problem, dt, psi_mode)
     if method == "rk4":
-        if dt is None or dt <= 0:
+        if dt is None or not dt > 0:
             raise ValueError("rk4 needs dt > 0")
         return _rk4(problem, dt, psi_mode)
     raise ValueError("method must be 'exact' or 'rk4'")

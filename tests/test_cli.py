@@ -187,6 +187,19 @@ class TestDiagnose:
         assert "at least two snapshots" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sparse_windows_rejected_before_output(self, taylor_green_run, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        for name in ("tg_000000.bin", "tg_000010.bin"):
+            shutil.copy(taylor_green_run / name, snaps)
+        out = tmp_path / "diag"
+        code = main(
+            ["diagnose", str(snaps), "--q", "6.0", "--out", str(out), "--cylinder-scale", "0.3"]
+        )
+        assert code == 1
+        assert "error: window (T_0, 1] holds 2 snapshots; need >= 10" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -298,6 +311,15 @@ class TestGronwall:
         out = tmp_path / "gw"
         assert main(["gronwall", str(b), "--dt", dt, "--out", str(out)]) == 1
         assert "dt must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--C", "--H0", "--dt"])
+    def test_nan_option_rejected_before_output(self, tmp_path, capsys, flag):
+        b = tmp_path / "b.csv"
+        b.write_text("t,B\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")
+        out = tmp_path / "gw"
+        assert main(["gronwall", str(b), flag, "nan", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be > 0, got nan\n"
         assert not out.exists()
 
 

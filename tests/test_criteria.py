@@ -7,6 +7,7 @@ from wlns.criteria import (
     CriterionTrace,
     DerivedExponents,
     TraceRow,
+    _cumulative_trapezoid,
     a_lambda_from_reference,
     damped_magnitude,
     derive_exponents,
@@ -207,6 +208,21 @@ class TestTrace:
         assert cum["C_lps"][0] == 0.0
         manual = np.trapezoid(trace.i_lps, trace.t)
         assert cum["C_lps"][-1] == pytest.approx(manual, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cumulative_trapezoid_is_scipys(self, seed):
+        from scipy.integrate import cumulative_trapezoid
+
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 3, 17, 400):
+            x = np.cumsum(rng.exponential(rng.uniform(1e-3, 10.0), size)) - 5.0
+            y = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8)
+            expected = cumulative_trapezoid(y, x, initial=0.0)
+            assert np.array_equal(_cumulative_trapezoid(y, x), expected)
+
+    def test_single_row_accumulates_zero(self):
+        cum = self.make_trace(n_rows=1).accumulated()
+        assert all(np.array_equal(c, [0.0]) for c in cum.values())
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
         trace = self.make_trace()

@@ -23,6 +23,7 @@ from wlns.degiorgi import (
     truncate,
     truncation_threshold,
     truncation_time,
+    window_times,
 )
 from wlns.field import Grid, ScalarField, VectorField
 from wlns.nse_solver import (
@@ -259,6 +260,16 @@ class TestLevelEnergy:
         sparse = synthetic_trajectory(grid, u, cmap, n_times=8)
         with pytest.raises(ValueError, match="need >= 10"):
             level_energy(sparse, CylinderScheme(1), cmap)
+
+    def test_window_checks_need_times_only(self):
+        cmap = CylinderMap(center=(5.0, 5.0, 5.0), scale=0.5, t_end=2.0)
+        times = [cmap.sim_time(t) for t in np.linspace(-1.0, 1.0, 21)]
+        tau = window_times(times, CylinderScheme(3), cmap)
+        np.testing.assert_array_equal(tau, [cmap.reference_time(t) for t in times])
+        with pytest.raises(ValueError, match="need >= 10"):
+            window_times(times[::-3], CylinderScheme(1), cmap)
+        with pytest.raises(ValueError, match="ends before"):
+            window_times(times[:-2], CylinderScheme(1), cmap)
 
     def test_trajectory_must_cover_window(self):
         grid = Grid(12, length=10.0)

@@ -76,6 +76,11 @@ class TestBoundProblem:
         with pytest.raises(ValueError):
             BoundProblem.from_function(lambda t: -1.0, 0.0, 1.0, c=1.0, h0=1.0)
 
+    @pytest.mark.parametrize("c, h0", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_parameters_rejected(self, c, h0):
+        with pytest.raises(ValueError, match="c and h0 must be positive"):
+            BoundProblem.from_samples([0.0, 1.0], [1.0, 1.0], c=c, h0=h0)
+
     def test_b_integral_and_cumulative(self):
         prob = BoundProblem.from_samples(
             [0.0, 1.0, 3.0, 4.0], [2.0, 0.5, 1.0, 0.0], c=1.0, h0=1.0
@@ -155,11 +160,16 @@ class TestSolveBound:
         with pytest.raises(ValueError):
             solve_bound(prob, 1e-2, psi_mode="cubic")
 
-    @pytest.mark.parametrize("dt", [0.0, -0.5])
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan])
     def test_exact_rejects_nonpositive_dt(self, dt):
         prob = BoundProblem.from_samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.0], c=1.0, h0=1.0)
         with pytest.raises(ValueError, match="dt must be > 0"):
             solve_bound(prob, dt)
+
+    def test_rk4_rejects_nan_dt(self):
+        prob = BoundProblem.from_function(lambda t: 1.0, 0.0, 1.0, c=1.0, h0=1.0)
+        with pytest.raises(ValueError, match="rk4 needs dt > 0"):
+            solve_bound(prob, math.nan)
 
 
 class TestImplicitCheck:
