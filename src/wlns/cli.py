@@ -401,6 +401,9 @@ def _cmd_gronwall(args) -> int:
     for flag, value in (("--C", args.C), ("--H0", args.H0), ("--dt", args.dt)):
         if value is not None and not value > 0:
             return _fail(f"{flag} must be > 0, got {value!r}")
+        # an infinite --dt is allowed: one output piece per sample
+        if flag != "--dt" and value == math.inf:
+            return _fail(f"{flag} must be finite, got {value!r}")
     try:
         times, values = read_signal_csv(args.b_csv)
         problem = BoundProblem.from_samples(times, values, c=args.C, h0=args.H0)

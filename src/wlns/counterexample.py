@@ -20,6 +20,7 @@ import numpy as np
 
 from wlns.criteria import prodi_serrin_p
 from wlns.field import Grid, ScalarField, write_table
+from wlns.gronwall import _logaddexp1
 from wlns.lorentz import lorentz_time_norm
 
 _LN2 = math.log(2.0)
@@ -262,9 +263,7 @@ def _claim1_term(schedule: DyadicSchedule, n: int) -> float:
     ``t_inf^{-1} 2^{-k_n} 2^{p m_n} (2^{-n} - 2^{-k_n})^{-1}`` equals
     ``t_inf^{-1} (1 - 2^{n - k_n})^{-1}``, and ``m_n + n/2 = n^2``.
     """
-    denom = math.e + float(
-        np.logaddexp(1.0, n * n * _LN2 - 0.5 * math.log(schedule.t_inf))
-    )
+    denom = math.e + _logaddexp1(n * n * _LN2 - 0.5 * math.log(schedule.t_inf))
     correction = 1.0 - 2.0 ** (n - schedule.k(n))
     return 1.0 / (schedule.t_inf * correction * denom)
 
@@ -286,7 +285,7 @@ def _interval_criterion_integral(schedule: DyadicSchedule, n: int) -> float:
     def integrand(v: float) -> float:
         w = 1.0 - shrink * v
         ln_y = m * _LN2 + 0.5 * (n * _LN2 - ln_t - math.log(w))
-        return 1.0 / (w * (math.e + float(np.logaddexp(1.0, ln_y))))
+        return 1.0 / (w * (math.e + _logaddexp1(ln_y)))
 
     value, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
     return value

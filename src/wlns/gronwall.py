@@ -37,9 +37,19 @@ def psi(r):
     return float(out) if out.ndim == 0 else out
 
 
+def _logaddexp1(s: float) -> float:
+    """``np.logaddexp(1.0, s)`` bit for bit, without numpy's per-call cost."""
+    if s == 1.0:
+        return 1.0 + math.log(2.0)
+    tmp = 1.0 - s
+    if tmp > 0:
+        return 1.0 + math.log1p(math.exp(-tmp))
+    return s + math.log1p(math.exp(tmp))  # NaN lands here and stays NaN
+
+
 def _damping_log(s: float) -> float:
     # d(Phi o exp)/ds = e^s / Psi(e^s) = 1/(e + log(e + e^s))
-    return 1.0 / (E + np.logaddexp(1.0, s))
+    return 1.0 / (E + _logaddexp1(s))
 
 
 def _phi_increment(s_lo: float, s_hi: float) -> float:
@@ -93,7 +103,7 @@ def psi_tail(m: Optional[float] = None, *, log_m: Optional[float] = None) -> flo
     elif log_m < 0.0:
         raise ValueError("log_m must be >= 0")
     value = _phi_increment(0.0, log_m)
-    floor = math.log(E + np.logaddexp(1.0, log_m)) - math.log(E + math.log(E + 1.0))
+    floor = math.log(E + _logaddexp1(log_m)) - math.log(E + math.log(E + 1.0))
     if value < floor - 1e-9:
         raise AssertionError("tail quadrature fell below the comparison primitive")
     return value
@@ -131,8 +141,8 @@ class BoundProblem:
     _b_total: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
-        if not (self.c > 0 and self.h0 > 0):
-            raise ValueError("c and h0 must be positive")
+        if not (0 < self.c < math.inf and 0 < self.h0 < math.inf):
+            raise ValueError("c and h0 must be positive and finite")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
         sampled = self.b_times is not None

@@ -322,6 +322,25 @@ class TestGronwall:
         assert capsys.readouterr().err == f"error: {flag} must be > 0, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--C", "--H0"])
+    def test_infinite_option_rejected_before_output(self, tmp_path, capsys, flag):
+        b = tmp_path / "b.csv"
+        b.write_text("t,B\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")
+        out = tmp_path / "gw"
+        assert main(["gronwall", str(b), flag, "inf", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_infinite_dt_writes_one_piece_per_sample(self, tmp_path):
+        b = tmp_path / "b.csv"
+        b.write_text("t,B\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")
+        tables = []
+        for extra in ([], ["--dt", "inf"]):
+            out = tmp_path / f"gw{len(extra)}"
+            assert main(["gronwall", str(b), *extra, "--out", str(out)]) == 0
+            tables.append((out / "bound.csv").read_bytes())
+        assert tables[0] == tables[1]
+
 
 class TestThreads:
     def test_cap_sets_solver_fft_workers(self, taylor_green_run, tmp_path, monkeypatch):

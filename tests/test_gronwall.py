@@ -1,13 +1,18 @@
 """Tests for the log-damped Gronwall integrator."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import wlns.counterexample
+import wlns.gronwall
 from wlns.counterexample import DyadicSchedule, claim1_terms
 from wlns.gronwall import (
     BoundProblem,
+    _damping_log,
+    _logaddexp1,
     bound_root,
     implicit_check,
     psi,
@@ -59,6 +64,61 @@ class TestPsi:
             psi_tail(0.5)
 
 
+class TestLogaddexp1:
+    EDGES = [
+        0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+        800.0, -800.0, 709.0, 710.0, -745.0, -746.0, 5e-324, -5e-324, 1e-310,
+        1e308, -1e308, math.inf, -math.inf, math.nan,
+    ]
+
+    def test_bits_match_numpy(self):
+        rng = np.random.default_rng(20091216)
+        inputs = [
+            *rng.normal(0.0, 5.0, 4000),
+            *(1.0 + rng.normal(0.0, 1e-6, 2000)),
+            *rng.uniform(-800.0, 800.0, 2000),
+            *(rng.uniform(-1.0, 1.0, 500) * 1.7e308),
+            *self.EDGES,
+        ]
+        with np.errstate(invalid="ignore"):  # numpy flags the NaN input
+            for x in map(float, inputs):
+                expected = float(np.logaddexp(1.0, x))
+                assert struct.pack("d", _logaddexp1(x)) == struct.pack("d", expected), x
+
+    def test_damping_log_stays_a_python_float(self):
+        for s in (-50.0, 0.0, 1.0, 3.5, 700.0):
+            assert type(_damping_log(s)) is float
+
+
+class TestScalarIntegrandCallers:
+    """Every caller of the math integrand gives numpy's scalar results exactly."""
+
+    @staticmethod
+    def _outputs():
+        report = claim1_terms(DyadicSchedule(q=6.0), 40)
+        rng = np.random.default_rng(257)
+        prob = BoundProblem.from_samples(
+            np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 2.0, 257), c=1.0, h0=1.0
+        )
+        sol = solve_bound(prob)
+        return report.terms, report.integrals, sol.h, implicit_check(sol)
+
+    def test_outputs_match_numpy_logaddexp(self, monkeypatch):
+        fast = self._outputs()
+        calls = []
+
+        def numpy_logaddexp1(s):
+            calls.append(s)
+            return float(np.logaddexp(1.0, s))
+
+        for module in (wlns.gronwall, wlns.counterexample):
+            monkeypatch.setattr(module, "_logaddexp1", numpy_logaddexp1)
+        reference = self._outputs()
+        assert calls
+        for got, want in zip(fast, reference):
+            assert np.array_equal(got, want)
+
+
 class TestBoundProblem:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
@@ -79,6 +139,11 @@ class TestBoundProblem:
     @pytest.mark.parametrize("c, h0", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_parameters_rejected(self, c, h0):
         with pytest.raises(ValueError, match="c and h0 must be positive"):
+            BoundProblem.from_samples([0.0, 1.0], [1.0, 1.0], c=c, h0=h0)
+
+    @pytest.mark.parametrize("c, h0", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_parameters_rejected(self, c, h0):
+        with pytest.raises(ValueError, match="c and h0 must be positive and finite"):
             BoundProblem.from_samples([0.0, 1.0], [1.0, 1.0], c=c, h0=h0)
 
     def test_b_integral_and_cumulative(self):
