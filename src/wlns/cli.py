@@ -3,7 +3,7 @@
 One executable, five subcommands, INI configs for the solver, CSV + JSON
 manifest outputs.  Exit codes: 0 on success, 1 for usage/config problems
 (malformed files report the offending line), 2 when a run halts on
-blow-up or overflow (partial outputs are still flushed).
+blow-up, overflow or an interrupt (partial outputs are still flushed).
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def _file_entry(out_dir: Path, name: str) -> dict:
 class RunManifest:
     """Reproducibility record written next to every file-producing run.
 
-    :meth:`start` creates the output directory, :meth:`output` registers a
-    file in it, and :meth:`write` checksums the registered files into
-    ``manifest.json``.
+    The clock starts when the record is made.  :meth:`start` creates the
+    output directory, :meth:`output` registers a file in it, and
+    :meth:`write` checksums the registered files into ``manifest.json``.
     """
 
     subcommand: str
@@ -67,12 +67,14 @@ class RunManifest:
     wall_seconds: float = 0.0
     outputs: list = dc_field(default_factory=list)
 
+    def __post_init__(self):
+        self._t0 = time.monotonic()
+        self.started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
+
     def start(self, out: str):
         self.out_dir = Path(out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._names = []
-        self._t0 = time.monotonic()
-        self.started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
         return self
 
     def output(self, name: str) -> Path:
@@ -222,23 +224,26 @@ def _cmd_simulate(args) -> int:
     manifest = RunManifest(
         "simulate", snapshot, seed=seed, threads=args.threads_resolved
     ).start(args.out)
+    written = []
 
-    halted = None
-    try:
-        result = run(u0, config, q=q)
-    except BlowUpError as exc:
-        halted = str(exc)
-        result = exc.result
-    if result is not None:
-        if result.trace is not None:
-            result.trace.to_csv(manifest.output("trace.csv"))
+    def sink(t, u):
         if snaps:
-            for i, (t, u) in enumerate(zip(result.times, result.snapshots)):
-                write_snapshot(manifest.output(f"{prefix}_{i:06d}.bin"), float(t), u)
-    manifest.halted = halted
+            name = f"{prefix}_{len(written):06d}.bin"
+            write_snapshot(manifest.out_dir / name, t, u)
+            written.append(manifest.output(name))
+
+    try:
+        result = run(u0, config, q=q, sink=sink)
+    except BlowUpError as exc:
+        manifest.halted, result = str(exc), exc.result
+    except KeyboardInterrupt as exc:
+        # the snapshots written so far stay listed, with the trace up to them
+        manifest.halted, result = "interrupted", getattr(exc, "result", None)
+    if result is not None and result.trace is not None:
+        result.trace.to_csv(manifest.output("trace.csv"))
     manifest.write()
-    if halted is not None:
-        print(f"halted: {halted}", file=sys.stderr)
+    if manifest.halted is not None:
+        print(f"halted: {manifest.halted}", file=sys.stderr)
         return 2
     print(f"simulate: {len(result.times)} snapshots -> {manifest.out_dir}")
     return 0
@@ -251,30 +256,31 @@ def _cmd_simulate(args) -> int:
 def _cmd_diagnose(args) -> int:
     from wlns.criteria import CriterionTrace, evaluate_row
     from wlns.degiorgi import CylinderMap, CylinderScheme, level_energy, window_times
-    from wlns.field import read_vector_snapshot
-    from wlns.nse_solver import SimulationResult, SolverConfig
+    from wlns.field import Trajectory, read_snapshot_header, read_vector_snapshot
 
     import numpy as np
 
     paths = sorted(glob.glob(os.path.join(args.snapshots, "*.bin")))
     if not paths:
         return _fail(f"no .bin snapshots under '{args.snapshots}'")
-    times, fields = [], []
+    times, grids = [], []
     for p in paths:
         try:
-            t, u = read_vector_snapshot(p)
+            t, grid, count = read_snapshot_header(p)
         except ValueError as exc:
             return _fail(f"{p}: {exc}")
-        if fields and u.grid != fields[0].grid:
-            return _fail(f"{p}: grid {u.grid} differs from {fields[0].grid} of {paths[0]}")
+        if count != 3:
+            return _fail(f"{p}: expected 3 fields, found {count}")
+        if grids and grid != grids[0]:
+            return _fail(f"{p}: grid {grid} differs from {grids[0]} of {paths[0]}")
         times.append(t)
-        fields.append(u)
+        grids.append(grid)
     if args.cylinder_scale is not None and len(times) < 2:
         return _fail("level-set energies need at least two snapshots")
     order = np.argsort(times)
     times = [times[i] for i in order]
-    fields = [fields[i] for i in order]
-    grid = fields[0].grid
+    paths = [paths[i] for i in order]
+    grid = grids[0]
     if args.cylinder_scale is not None:
         try:
             center = (
@@ -293,21 +299,31 @@ def _cmd_diagnose(args) -> int:
         "diagnose",
         {"snapshots": args.snapshots, "q": args.q, "cylinder_scale": args.cylinder_scale},
         threads=args.threads_resolved,
-    ).start(args.out)
+    )
+    rows = []
 
-    rows = [evaluate_row(u, args.q, t=t) for t, u in zip(times, fields)]
+    def snapshots():
+        """Each snapshot in time order, read when asked for; its trace row on the way."""
+        for t, p in zip(times, paths):
+            try:
+                u = read_vector_snapshot(p)[1]
+            except ValueError as exc:
+                raise ValueError(f"{p}: {exc}") from None
+            rows.append(evaluate_row(u, args.q, t=t))
+            yield u
+
+    try:
+        if args.cylinder_scale is None:
+            for _ in snapshots():
+                pass
+        else:
+            table = level_energy(Trajectory(grid, np.asarray(times), snapshots()), scheme, cmap)
+    except ValueError as exc:
+        return _fail(str(exc))
+
+    manifest.start(args.out)
     if args.cylinder_scale is not None:
-        dt = times[1] - times[0]
-        stub = SolverConfig(dt=max(dt, 1e-12), t_end=max(times[-1], dt, 1e-12))
-        result = SimulationResult(
-            grid=grid,
-            config=stub,
-            times=np.asarray(times),
-            snapshots=fields,
-            cfl=np.empty(0),
-            trace=None,
-        )
-        level_energy(result, scheme, cmap).to_csv(manifest.output("levels.csv"))
+        table.to_csv(manifest.output("levels.csv"))
     CriterionTrace.from_rows(args.q, rows).to_csv(manifest.output("trace.csv"))
     manifest.write()
     print(f"diagnose: {len(times)} snapshots -> {manifest.out_dir}")

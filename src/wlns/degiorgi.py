@@ -22,6 +22,7 @@ from wlns.criteria import _cumulative_trapezoid
 from wlns.field import (
     Grid,
     ScalarField,
+    Trajectory,
     VectorField,
     ball_boundary_cells,
     ball_mask,
@@ -194,7 +195,7 @@ def window_times(times, scheme: CylinderScheme, cmap: CylinderMap) -> np.ndarray
 
 
 def level_energy(
-    result: SimulationResult,
+    result: SimulationResult | Trajectory,
     scheme: CylinderScheme,
     cmap: CylinderMap,
 ) -> LevelSetEnergy:
@@ -212,62 +213,49 @@ def level_energy(
     where the scaled density is ``d_k^2`` evaluated on the reference
     field.  The sup over ``(T_k, 1]`` is a max over stored snapshots;
     at least ``MIN_WINDOW_SAMPLES`` snapshots must fall in every window.
+    ``result.snapshots`` is read once, in order, and each snapshot is
+    reduced at once to its per-level sup candidate and dissipation sample.
     """
     grid = result.grid
     cmap.validate(grid)
     s = cmap.scale
     tau = window_times(result.times, scheme, cmap)
+    levels = np.array(scheme.levels)
+    windows = [(tau > truncation_time(k)) & (tau <= 1.0 + 1e-12) for k in levels]
+    # the balls shrink with k, so every one lies inside the k = 0 ball: a
+    # snapshot keeps only its values there, and each level indexes within them
+    radii = [cmap.sim_radius(cylinder_radius(k)) for k in levels]
+    outer = ball_mask(grid, cmap.center, radii[0])
+    inner = [ball_mask(grid, cmap.center, r)[outer] for r in radii]
 
-    # per-snapshot reference-field ingredients (shared across k)
-    magnitudes = []
-    grads = []
-    for u in result.snapshots:
+    sups, diss_series = [0.0] * len(levels), [[] for _ in levels]
+    for idx, u in enumerate(result.snapshots):
+        if not windows[0][idx]:  # the k = 0 window holds every other one
+            continue
         m = u.magnitude()
-        magnitudes.append(s * m.values)
-        grads.append((s**4 * gradient_squares(u), s**4 * gradient_squares(m)))
-
-    ks, starts, radii, thresholds = [], [], [], []
-    sups, disses, brackets = [], [], []
-    for k in scheme.levels:
-        t_k = truncation_time(k)
-        in_window = (tau > t_k) & (tau <= 1.0 + 1e-12)
-        radius_sim = cmap.sim_radius(cylinder_radius(k))
-        mask = ball_mask(grid, cmap.center, radius_sim)
-        theta = truncation_threshold(k)
-
-        sup_val = 0.0
-        diss_series = []
-        window_tau = tau[in_window]
-        window_idx = np.nonzero(in_window)[0]
-        for idx in window_idx:
-            v = np.maximum(magnitudes[idx] - theta, 0.0)
-            sup_val = max(
-                sup_val, 0.5 * s ** (-3) * float(np.sum(v[mask] ** 2)) * grid.cell_volume
+        magnitude = s * m.values[outer]
+        grads = s**4 * gradient_squares(u)[outer], s**4 * gradient_squares(m)[outer]
+        for k in levels:
+            if not windows[k][idx]:
+                continue
+            v = np.maximum(magnitude - truncation_threshold(k), 0.0)
+            sups[k] = max(
+                sups[k], 0.5 * s ** (-3) * float(np.sum(v[inner[k]] ** 2)) * grid.cell_volume
             )
-            if k == 0:
-                density = grads[idx][0]
-            else:
-                density = _density(k, magnitudes[idx], v, *grads[idx])
-            diss_series.append(float(np.sum(density[mask])) * grid.cell_volume)
-        # density is already the reference one; the time integral runs in
-        # tau, so only the volume element dxi = s^{-3} dx remains
-        diss = float(np.trapezoid(diss_series, window_tau)) * s ** (-3)
-        surface = ball_boundary_cells(grid, cmap.center, radius_sim)
-        ks.append(k)
-        starts.append(t_k)
-        radii.append(cylinder_radius(k))
-        thresholds.append(theta)
-        sups.append(sup_val)
-        disses.append(diss)
-        brackets.append(surface * grid.cell_volume * s ** (-3))
+            density = grads[0] if k == 0 else _density(k, magnitude, v, *grads)
+            diss_series[k].append(float(np.sum(density[inner[k]])) * grid.cell_volume)
+    # density is already the reference one; the time integral runs in
+    # tau, so only the volume element dxi = s^{-3} dx remains
+    diss = [float(np.trapezoid(d, tau[w])) * s ** (-3) for d, w in zip(diss_series, windows)]
+    surface = [ball_boundary_cells(grid, cmap.center, r) for r in radii]
     return LevelSetEnergy(
-        k=np.array(ks),
-        window_start=np.array(starts),
-        radius=np.array(radii),
-        threshold=np.array(thresholds),
+        k=levels,
+        window_start=truncation_time(levels),
+        radius=cylinder_radius(levels),
+        threshold=truncation_threshold(levels),
         sup_term=np.array(sups),
-        diss_term=np.array(disses),
-        boundary_bracket=np.array(brackets),
+        diss_term=np.array(diss),
+        boundary_bracket=np.array(surface) * grid.cell_volume * s ** (-3),
     )
 
 

@@ -18,11 +18,13 @@ whole half spectrum when nothing is cut) with a pruned inverse transform.
 
 from __future__ import annotations
 
+import os
 import struct
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -526,6 +528,8 @@ _HEADER = struct.Struct("<4sII d d I")
 
 
 def write_snapshot(path, time: float, fields: Sequence[ScalarField] | VectorField) -> None:
+    """Write ``fields`` at ``path`` through a temporary file, so ``path`` is
+    either absent or complete, even if the write is interrupted."""
     if isinstance(fields, VectorField):
         fields = fields.components
     if not fields:
@@ -534,45 +538,51 @@ def write_snapshot(path, time: float, fields: Sequence[ScalarField] | VectorFiel
     for f in fields:
         if f.grid != grid:
             raise ValueError("snapshot fields must share one grid")
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                SNAPSHOT_MAGIC,
-                SNAPSHOT_VERSION,
-                grid.n,
-                grid.length,
-                float(time),
-                len(fields),
-            )
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            head = (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.n, grid.length, float(time), len(fields))
+            fh.write(_HEADER.pack(*head))
+            for f in fields:
+                payload = np.ascontiguousarray(f.values.ravel(order="F"), dtype="<f8")
+                fh.write(payload.tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def read_snapshot_header(path) -> tuple[float, Grid, int]:
+    """``(time, grid, field count)`` of a snapshot, checking the file's exact size."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise SnapshotFormatError("truncated snapshot header")
+    magic, version, n, length, time, count = _HEADER.unpack(head)
+    if magic != SNAPSHOT_MAGIC:
+        raise SnapshotFormatError(f"bad magic {magic!r}")
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotFormatError(f"unsupported snapshot version {version}")
+    if count < 1:
+        raise SnapshotFormatError("snapshot holds no fields")
+    grid = Grid(n=n, length=length)
+    excess = os.path.getsize(path) - _HEADER.size - 8 * n**3 * count
+    if excess:
+        raise SnapshotFormatError(
+            "truncated snapshot payload" if excess < 0 else "trailing bytes after snapshot payload"
         )
-        for f in fields:
-            payload = np.ascontiguousarray(
-                f.values.ravel(order="F"), dtype="<f8"
-            )
-            fh.write(payload.tobytes())
+    return time, grid, count
 
 
 def read_snapshot(path) -> tuple[float, Grid, list[ScalarField]]:
+    time, grid, count = read_snapshot_header(path)
+    n = grid.n
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise SnapshotFormatError("truncated snapshot header")
-        magic, version, n, length, time, count = _HEADER.unpack(head)
-        if magic != SNAPSHOT_MAGIC:
-            raise SnapshotFormatError(f"bad magic {magic!r}")
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        grid = Grid(n=n, length=length)
+        fh.seek(_HEADER.size)
         fields = []
         for _ in range(count):
-            raw = fh.read(8 * n**3)
-            if len(raw) != 8 * n**3:
-                raise SnapshotFormatError("truncated snapshot payload")
-            values = np.frombuffer(raw, dtype="<f8").reshape((n, n, n), order="F")
+            values = np.frombuffer(fh.read(8 * n**3), dtype="<f8").reshape((n, n, n), order="F")
             fields.append(ScalarField(grid, values.copy()))
-        trailing = fh.read(1)
-        if trailing:
-            raise SnapshotFormatError("trailing bytes after snapshot payload")
     return time, grid, fields
 
 
@@ -581,6 +591,19 @@ def read_vector_snapshot(path) -> tuple[float, VectorField]:
     if len(fields) != 3:
         raise SnapshotFormatError(f"expected 3 fields, found {len(fields)}")
     return time, VectorField(grid, *fields)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Velocity snapshots on one grid at increasing ``times``.
+
+    ``snapshots`` may be a one-shot iterator, read once and in order, so a
+    long trajectory can stream from disk one snapshot at a time.
+    """
+
+    grid: Grid
+    times: np.ndarray
+    snapshots: Iterable[VectorField]
 
 
 # ---------------------------------------------------------------------------

@@ -347,12 +347,16 @@ def run(
     config: SolverConfig,
     q: float | None = None,
     callback: Callable[[SolverState], None] | None = None,
+    sink: Callable[[float, VectorField], None] | None = None,
 ) -> SimulationResult:
     """March from ``t = 0`` to ``t_end``, recording snapshots and diagnostics.
 
     A criterion trace is collected at the snapshot cadence when ``q`` is
-    given.  Blow-up (non-finite modes or ``max|u|`` past the threshold)
-    raises :class:`BlowUpError` carrying the partial result.
+    given.  With a ``sink``, ``sink(t, u)`` receives each snapshot as it is
+    recorded and ``result.snapshots`` stays empty, so memory does not grow
+    with the trajectory.  Blow-up (non-finite modes or ``max|u|`` past the
+    threshold) raises :class:`BlowUpError` carrying the partial result; a
+    ``KeyboardInterrupt`` gets it as its ``result`` attribute.
     """
     grid = u0.grid
     state = SolverState.from_velocity(u0, config)
@@ -364,7 +368,10 @@ def run(
     def record(state: SolverState, u: VectorField | None = None):
         u = state.velocity() if u is None else u
         times.append(state.time)
-        snapshots.append(u)
+        if sink is None:
+            snapshots.append(u)
+        else:
+            sink(state.time, u)
         if q is not None:
             rows.append(evaluate_row(u, q, t=state.time))
 
@@ -379,27 +386,31 @@ def run(
             trace=trace,
         )
 
-    record(state)
-    n_steps = config.n_steps
-    for i in range(n_steps):
-        try:
-            state = step(state, config)
-        except BlowUpError as exc:
-            raise BlowUpError(str(exc), last_time=i * config.dt, result=partial()) from None
-        # the one inverse transform of this state: the next step starts from it
-        u = state.velocity()
-        peak = u.max_abs()
-        cfl.append(config.dt * peak / grid.spacing)
-        if not math.isfinite(peak) or peak > config.blowup_threshold:
-            raise BlowUpError(
-                f"max|u| = {peak:.3e} exceeded threshold at t = {state.time:.6g}",
-                last_time=(state.step_index - 1) * config.dt,
-                result=partial(),
-            )
-        if state.step_index % config.snapshot_every == 0 or state.step_index == n_steps:
-            record(state, u)
-        if callback is not None:
-            callback(state)
+    try:
+        record(state)
+        n_steps = config.n_steps
+        for i in range(n_steps):
+            try:
+                state = step(state, config)
+            except BlowUpError as exc:
+                raise BlowUpError(str(exc), last_time=i * config.dt, result=partial()) from None
+            # the one inverse transform of this state: the next step starts from it
+            u = state.velocity()
+            peak = u.max_abs()
+            cfl.append(config.dt * peak / grid.spacing)
+            if not math.isfinite(peak) or peak > config.blowup_threshold:
+                raise BlowUpError(
+                    f"max|u| = {peak:.3e} exceeded threshold at t = {state.time:.6g}",
+                    last_time=(state.step_index - 1) * config.dt,
+                    result=partial(),
+                )
+            if state.step_index % config.snapshot_every == 0 or state.step_index == n_steps:
+                record(state, u)
+            if callback is not None:
+                callback(state)
+    except KeyboardInterrupt as exc:
+        exc.result = partial()
+        raise
     return partial()
 
 

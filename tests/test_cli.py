@@ -1,16 +1,26 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
 import shutil
+import signal
+import struct
+import subprocess
+import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wlns.cli import main
-from wlns.field import Grid, VectorField, write_snapshot
+from wlns.criteria import CriterionTrace
+from wlns.field import Grid, VectorField, read_vector_snapshot, write_snapshot
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wlns" / "configs"
 
@@ -101,6 +111,54 @@ class TestSimulate:
         assert (out / "trace.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "exceeded threshold" in manifest["halted"]
+
+    def test_interrupt_leaves_readable_partial_outputs(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[solver]\nn = 16\ndt = 1e-3\nt_end = 100.0\nsnapshot_every = 20\n"
+            "initial_condition = taylor_green\n\n[diagnostics]\nq = 6.0\n\n"
+            "[output]\nprefix = tg\n",
+        )
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wlns.cli", "simulate", str(cfg), "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while len(list(out.glob("tg_*.bin"))) < 3:
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "no snapshots written"
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=120.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 2, err
+        assert "halted: interrupted" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halted"] == "interrupted"
+        listed = [entry["path"] for entry in manifest["outputs"]]
+        assert "trace.csv" in listed
+        for entry in manifest["outputs"]:
+            data = (out / entry["path"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+            assert len(data) == entry["bytes"]
+        snapshots = sorted(name for name in listed if name.endswith(".bin"))
+        assert len(snapshots) >= 3
+        assert snapshots == [f"tg_{i:06d}.bin" for i in range(len(snapshots))]
+        assert not list(out.glob("*.partial"))
+        times = [read_vector_snapshot(out / name)[0] for name in snapshots]
+        assert times == pytest.approx([0.02 * i for i in range(len(snapshots))], abs=1e-12)
+        trace = CriterionTrace.from_csv(out / "trace.csv", q=6.0)
+        # the interrupt may land between writing a snapshot and its trace row
+        assert len(snapshots) - 1 <= len(trace.t) <= len(snapshots)
+        assert list(trace.t) == times[: len(trace.t)]
 
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[solver]\nn = 16\nthis is not a key value pair\n")
@@ -200,6 +258,41 @@ class TestDiagnose:
         assert "error: window (T_0, 1] holds 2 snapshots; need >= 10" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cylinders", [False, True])
+    @pytest.mark.parametrize("defect", ["truncated", "trailing"])
+    def test_bad_file_size_rejected_before_output(
+        self, taylor_green_run, tmp_path, capsys, defect, cylinders
+    ):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(taylor_green_run, snaps, ignore=shutil.ignore_patterns("*.csv", "*.json"))
+        bad = snaps / "tg_000007.bin"
+        raw = bad.read_bytes()
+        bad.write_bytes(raw[:-8] if defect == "truncated" else raw + b"\0")
+        out = tmp_path / "diag"
+        extra = ["--cylinder-scale", "0.3", "--kmax", "1"] if cylinders else []
+        assert main(["diagnose", str(snaps), "--q", "6.0", "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        message = "truncated snapshot payload" if defect == "truncated" else "trailing bytes"
+        assert "tg_000007.bin" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cylinders", [False, True])
+    def test_non_finite_payload_rejected_before_output(
+        self, taylor_green_run, tmp_path, capsys, cylinders
+    ):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(taylor_green_run, snaps, ignore=shutil.ignore_patterns("*.csv", "*.json"))
+        bad = snaps / "tg_000009.bin"
+        raw = bytearray(bad.read_bytes())
+        raw[-8:] = struct.pack("<d", math.nan)  # the header still checks out
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "diag"
+        extra = ["--cylinder-scale", "0.3", "--kmax", "1"] if cylinders else []
+        assert main(["diagnose", str(snaps), "--q", "6.0", "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert "tg_000009.bin" in err and "finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -218,6 +311,51 @@ class TestDiagnose:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBoundedMemory:
+    """``simulate`` and ``diagnose`` hold one snapshot at a time, whatever the run length."""
+
+    def test_peak_does_not_grow_with_snapshot_count(self, tmp_path):
+        grid = Grid(16)
+        snapshot_bytes = 3 * grid.n**3 * 8
+
+        def config(dt):
+            # every snapshot of both runs lies in every window of --cylinder-scale 0.3
+            text = (
+                f"[solver]\nn = {grid.n}\ndt = {dt!r}\nt_end = 0.02\nsnapshot_every = 1\n"
+                "initial_condition = taylor_green\n\n[diagnostics]\nq = 6.0\n\n"
+                "[output]\nprefix = tg\n"
+            )
+            return str(write_config(tmp_path, text, name=f"dt{dt!r}.cfg"))
+
+        def traced_peak(argv):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] - start
+
+        def peaks(label, dt):
+            sim, diag = tmp_path / f"{label}-sim", tmp_path / f"{label}-diag"
+            return (
+                traced_peak(["simulate", config(dt), "--out", str(sim)]),
+                traced_peak(["diagnose", str(sim), "--q", "6", "--out", str(diag),
+                             "--cylinder-scale", "0.3"]),
+            )
+
+        tracemalloc.start()
+        try:
+            # the first runs of each step size fill the per-grid caches
+            peaks("warm-short", 2e-3)
+            peaks("warm-long", 5e-4)
+            short = peaks("short", 2e-3)  # 11 snapshots
+            long = peaks("long", 5e-4)  # 41 snapshots
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "long-sim").glob("tg_*.bin"))) == 41
+        for command, few, many in zip(("simulate", "diagnose"), short, long):
+            assert many - few < snapshot_bytes, (command, few, many)
 
 
 class TestCounterexample:

@@ -25,7 +25,8 @@ from wlns.degiorgi import (
     truncation_time,
     window_times,
 )
-from wlns.field import Grid, ScalarField, VectorField
+from wlns.degiorgi import _density
+from wlns.field import Grid, ScalarField, Trajectory, VectorField, ball_mask, gradient_squares
 from wlns.nse_solver import (
     SimulationResult,
     SolverConfig,
@@ -33,6 +34,7 @@ from wlns.nse_solver import (
     cylinder_cutoff,
     energy_residual,
     gaussian_bump,
+    random_divfree,
     run,
     taylor_green,
 )
@@ -312,6 +314,64 @@ class TestLevelEnergy:
         assert float(first[4]) == 0.25
         assert float(first[6]) == 0.75
 
+
+
+@pytest.fixture(scope="module")
+def strong_run_32():
+    """A nonlinear run strong enough to cross several truncation levels."""
+    config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.04)
+    return run(random_divfree(Grid(32), seed=3, amplitude=8.0), config)
+
+
+def whole_box_sums(result, scheme, cmap):
+    """Per-level sup and dissipation terms from whole-box arrays, masked per level."""
+    grid, s = result.grid, cmap.scale
+    tau = window_times(result.times, scheme, cmap)
+    sups, disses = [], []
+    for k in scheme.levels:
+        mask = ball_mask(grid, cmap.center, cmap.sim_radius(cylinder_radius(k)))
+        window = (tau > truncation_time(k)) & (tau <= 1.0 + 1e-12)
+        sup, samples = 0.0, []
+        for idx in np.nonzero(window)[0]:
+            u = result.snapshots[idx]
+            m = u.magnitude()
+            magnitude = s * m.values
+            v = np.maximum(magnitude - truncation_threshold(k), 0.0)
+            sup = max(sup, 0.5 * s ** (-3) * float(np.sum(v[mask] ** 2)) * grid.cell_volume)
+            grads = s**4 * gradient_squares(u), s**4 * gradient_squares(m)
+            density = grads[0] if k == 0 else _density(k, magnitude, v, *grads)
+            samples.append(float(np.sum(density[mask])) * grid.cell_volume)
+        sups.append(sup)
+        disses.append(float(np.trapezoid(samples, tau[window])) * s ** (-3))
+    return np.array(sups), np.array(disses)
+
+
+class TestLevelEnergyStream:
+    """``level_energy`` reads its snapshots once and keeps only the k = 0 ball."""
+
+    @pytest.mark.parametrize("k_max", [3, 8])
+    @pytest.mark.parametrize("scale", [0.4, 0.65])
+    def test_one_shot_iterator_matches_list(self, strong_run_32, scale, k_max):
+        result = strong_run_32
+        cmap = CylinderMap(center=(math.pi,) * 3, scale=scale, t_end=float(result.times[-1]))
+        scheme = CylinderScheme(k_max)
+        want = level_energy(result, scheme, cmap)
+        once = iter(result.snapshots)
+        got = level_energy(Trajectory(result.grid, result.times, once), scheme, cmap)
+        assert next(once, None) is None
+        for name, column in vars(want).items():
+            assert np.array_equal(getattr(got, name), column), name
+        assert np.count_nonzero(want.sup_term) >= 3
+
+    @pytest.mark.parametrize("scale", [0.4, 0.65])
+    def test_ball_restricted_sums_match_whole_box(self, strong_run_32, scale):
+        result = strong_run_32
+        cmap = CylinderMap(center=(math.pi,) * 3, scale=scale, t_end=float(result.times[-1]))
+        scheme = CylinderScheme(5)
+        table = level_energy(result, scheme, cmap)
+        sups, disses = whole_box_sums(result, scheme, cmap)
+        assert np.array_equal(table.sup_term, sups)
+        assert np.array_equal(table.diss_term, disses)
 
 @pytest.fixture(scope="module")
 def budget_run_16():

@@ -16,6 +16,7 @@ from wlns.field import (
     inverse_transform,
     laplacian,
     read_snapshot,
+    read_snapshot_header,
     read_vector_snapshot,
     rescale,
     rescale_profile,
@@ -342,6 +343,43 @@ class TestSnapshots:
         path.write_bytes(raw[:-16])
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+    def test_header_reports_time_grid_and_count(self, tmp_path):
+        g = Grid(n=8, length=3.0)
+        path = tmp_path / "snap.wlns"
+        write_snapshot(path, 1.5, [random_scalar(g, 1), random_scalar(g, 2)])
+        assert read_snapshot_header(path) == (1.5, g, 2)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw[:-8], "truncated snapshot payload"),
+            (lambda raw: raw + b"\0", "trailing bytes after snapshot payload"),
+            (lambda raw: raw[:20], "truncated snapshot header"),
+            (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:], "version 2"),
+            (lambda raw: raw[:28] + (0).to_bytes(4, "little") + raw[32:], "no fields"),
+        ],
+        ids=["truncated", "trailing", "short-header", "version", "no-fields"],
+    )
+    def test_header_check_rejects_bad_files(self, tmp_path, edit, message):
+        path = tmp_path / "snap.wlns"
+        write_snapshot(path, 0.0, [random_scalar(Grid(n=8))])
+        path.write_bytes(edit(path.read_bytes()))
+        for reader in (read_snapshot_header, read_snapshot):
+            with pytest.raises(SnapshotFormatError, match=message):
+                reader(path)
+
+    def test_interrupted_write_leaves_nothing(self, tmp_path, monkeypatch):
+        g = Grid(n=8)
+        path = tmp_path / "snap.wlns"
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("wlns.field.os.replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            write_snapshot(path, 0.0, [random_scalar(g)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTables:

@@ -488,6 +488,47 @@ class TestBlockStep:
             assert np.all(state.modes[:, cut] == 0.0)
 
 
+
+class TestSink:
+    """``run(..., sink=...)`` hands each snapshot over instead of keeping it."""
+
+    CONFIG = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.02, snapshot_every=3)
+
+    def test_sink_gets_the_snapshots_run_keeps(self):
+        u0 = random_divfree(Grid(n=16), seed=5, amplitude=2.0)
+        kept_ticks, sunk_ticks, handed = [], [], []
+        kept = run(u0, self.CONFIG, q=6.0, callback=kept_ticks.append)
+        sunk = run(
+            u0, self.CONFIG, q=6.0, callback=sunk_ticks.append,
+            sink=lambda t, u: handed.append((t, u)),
+        )
+        assert sunk.snapshots == []
+        assert len(kept.snapshots) == 5  # steps 0, 3, 6, 9 and the last, 10
+        assert [t for t, _ in handed] == list(kept.times)
+        assert np.array_equal(sunk.times, kept.times)
+        for (_, got), want in zip(handed, kept.snapshots, strict=True):
+            assert np.array_equal(got.as_array(), want.as_array())
+        assert len(sunk_ticks) == len(kept_ticks) == self.CONFIG.n_steps
+        assert np.array_equal(sunk.cfl, kept.cfl)
+        for name, column in vars(kept.trace).items():
+            assert np.array_equal(getattr(sunk.trace, name), column)
+
+    def test_interrupt_carries_partial_result(self):
+        u0 = random_divfree(Grid(n=16), seed=5, amplitude=2.0)
+        handed = []
+
+        def interrupt(state):
+            if state.step_index == 7:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt) as err:
+            run(u0, self.CONFIG, q=6.0, callback=interrupt, sink=lambda t, u: handed.append(t))
+        partial = err.value.result
+        assert handed == pytest.approx([0.0, 0.006, 0.012])
+        assert list(partial.times) == handed
+        assert list(partial.trace.t) == handed
+        assert len(partial.cfl) == 7
+
 class TestScalingEquivariance:
     def test_zoom_commutes_with_evolution(self):
         """u -> eps u(eps^2 t, eps x) maps trajectories to trajectories.
