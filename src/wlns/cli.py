@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -101,15 +101,10 @@ def _fail(message: str) -> int:
 # simulate
 
 
-_SOLVER_KEYS = {
+# [solver] keys for the grid and the initial condition; the rest are SolverConfig fields.
+_SETUP_KEYS = {
     "n",
     "box_length",
-    "viscosity",
-    "dt",
-    "t_end",
-    "dealias_fraction",
-    "snapshot_every",
-    "blowup_threshold",
     "initial_condition",
     "amplitude",
     "seed",
@@ -141,7 +136,8 @@ def _load_run_config(path: str):
     if not parser.has_section("solver"):
         raise ValueError("config needs a [solver] section")
     solver = parser["solver"]
-    unknown = set(solver) - _SOLVER_KEYS
+    config_fields = fields(SolverConfig)
+    unknown = set(solver) - _SETUP_KEYS - {f.name for f in config_fields}
     if unknown:
         raise ValueError(f"[solver] has unknown keys: {', '.join(sorted(unknown))}")
 
@@ -159,12 +155,7 @@ def _load_run_config(path: str):
         raise ValueError("[solver] n is required")
     grid = Grid(n, length=pick(solver, "box_length", float, 2.0 * math.pi))
     config = SolverConfig(
-        viscosity=pick(solver, "viscosity", float, 1.0),
-        dt=pick(solver, "dt", float, 1e-3),
-        t_end=pick(solver, "t_end", float, 0.1),
-        dealias_fraction=pick(solver, "dealias_fraction", float, 2.0 / 3.0),
-        snapshot_every=pick(solver, "snapshot_every", int, 1),
-        blowup_threshold=pick(solver, "blowup_threshold", float, 1e8),
+        **{f.name: pick(solver, f.name, type(f.default), f.default) for f in config_fields}
     )
 
     kind = solver.get("initial_condition", "taylor_green").strip()

@@ -1,13 +1,12 @@
-"""Dyadic-amplitude singular profile and the criterion/Lorentz separation.
+"""The singular profile with dyadic amplitudes and the criterion/Lorentz separation.
 
 The profile ``f(x, t) = A(t)/sqrt((t_inf - t) + |x - x0|^2)`` with a
 dyadic on/off amplitude schedule has a finite log-damped criterion
 integral while its ``L^{p,r}`` time norm diverges for every finite
 ``r``.  This module carries the schedule exactly (amplitudes overflow
-doubles beyond the 32nd interval, so everything dyadic is kept as
-mantissa/exponent pairs or in log2 form), evaluates both sides of the
-separation, and samples the profile on grids for cross-checks against
-the norm evaluators.
+doubles beyond the 32nd interval, so everything dyadic is kept in log2
+form), evaluates both sides of the separation, and samples the profile
+on grids for cross-checks against the norm evaluators.
 """
 
 from __future__ import annotations
@@ -26,52 +25,14 @@ from wlns.lorentz import lorentz_time_norm
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Dyadic:
-    """A positive real carried as ``mantissa * 2**exponent``.
-
-    The mantissa stays in ``[1, 2)`` so the exponent alone decides
-    whether a value survives conversion to a double; conversions
-    saturate gracefully to ``inf``/``0.0`` instead of raising.
-    """
-
-    mantissa: float
-    exponent: int
-
-    def __post_init__(self):
-        if not (1.0 <= self.mantissa < 2.0):
-            raise ValueError("mantissa must lie in [1, 2)")
-
-    @classmethod
-    def from_log2(cls, x: float) -> "Dyadic":
-        if not np.isfinite(x):
-            raise ValueError("log2 value must be finite")
-        e = math.floor(x)
-        return cls(2.0 ** (x - e), int(e))
-
-    @classmethod
-    def from_float(cls, value: float) -> "Dyadic":
-        if not (value > 0 and np.isfinite(value)):
-            raise ValueError("value must be positive and finite")
-        m, e = math.frexp(value)  # m in [0.5, 1)
-        return cls(2.0 * m, e - 1)
-
-    @property
-    def log2(self) -> float:
-        return self.exponent + math.log2(self.mantissa)
-
-    def to_float(self) -> float:
-        if self.exponent > 1023:
-            return math.inf
-        if self.exponent < -1074:
-            return 0.0
-        return math.ldexp(self.mantissa, self.exponent)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic.from_log2(self.log2 + other.log2)
-
-    def power(self, r: float) -> "Dyadic":
-        return Dyadic.from_log2(r * self.log2)
+def _exp2(x: float) -> float:
+    """``2**x`` from its log2, saturating to ``inf``/``0.0`` past double range."""
+    e = math.floor(x)
+    if e > 1023:
+        return math.inf
+    if e < -1074:
+        return 0.0
+    return math.ldexp(2.0 ** (x - e), e)
 
 
 @dataclass(frozen=True)
@@ -155,7 +116,7 @@ def amplitude_log2(schedule: DyadicSchedule, t: float) -> float:
 def amplitude(schedule: DyadicSchedule, t: float) -> float:
     """``A(t) = 2^{m_n}`` on interval n, 0 elsewhere (inf past overflow)."""
     n = interval_index(schedule, t)
-    return 0.0 if n is None else Dyadic.from_log2(schedule.m(n)).to_float()
+    return 0.0 if n is None else _exp2(schedule.m(n))
 
 
 def weak_norm_constant(q: float) -> float:
@@ -205,9 +166,9 @@ def closed_form_weak_norm(
     log2_corrected = log2_literal + math.log2(weak_norm_constant(q))
     log2_sup = log2_a - 0.5 * log2_s
     return WeakNormValues(
-        literal=Dyadic.from_log2(log2_literal).to_float(),
-        corrected=Dyadic.from_log2(log2_corrected).to_float(),
-        sup_norm=Dyadic.from_log2(log2_sup).to_float(),
+        literal=_exp2(log2_literal),
+        corrected=_exp2(log2_corrected),
+        sup_norm=_exp2(log2_sup),
         log2_literal=log2_literal,
         log2_corrected=log2_corrected,
         log2_sup=log2_sup,
@@ -498,10 +459,12 @@ def intro_profile_criterion(
 def write_schedule_csv(
     path, schedule: DyadicSchedule, n_terms: int, r: float = 2.0
 ) -> None:
-    """Per-interval table: geometry, bound terms, and both partial sums."""
-    claim1 = claim1_terms(schedule, n_terms)
+    """Closed-form per-interval table: geometry, bound terms, both partial sums."""
+    if n_terms < 1:
+        raise ValueError("need at least one term")
+    ns = list(range(1, n_terms + 1))
+    terms = np.array([_claim1_term(schedule, n) for n in ns])
     claim2 = claim2_lower_bound(schedule, max(n_terms, 2), r)
-    ns = [int(n) for n in claim1.ns]
     starts, stops = zip(*(schedule.interval(n) for n in ns))
     columns = {
         "n": ns,
@@ -509,8 +472,8 @@ def write_schedule_csv(
         "k_n": [schedule.k(n) for n in ns],
         "t_n": starts,
         "t_n_star": stops,
-        "term_n": claim1.terms,
-        "partial_claim1": claim1.partial_sums,
+        "term_n": terms,
+        "partial_claim1": np.cumsum(terms),
         "partial_claim2_r": claim2.partial_sums[: len(ns)],
     }
     write_table(path, columns, index="n")

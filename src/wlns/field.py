@@ -129,9 +129,6 @@ class ScalarField:
         v = _check_values(self.grid, self.values, (n, n, n))
         object.__setattr__(self, "values", v)
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 

@@ -301,7 +301,7 @@ def split_at_one(f):
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Dyadic-layer bounds for the two halves of a unit-level split."""
+    """Bounds over dyadic layers for the two halves of a unit-level split."""
 
     r: float
     r1: float

@@ -77,6 +77,13 @@ class TestSimulate:
         decay = rows["sup_norm"][-1] / rows["sup_norm"][0]
         assert decay == pytest.approx(math.exp(-2.0 * 0.1), rel=1e-5)
 
+    def test_config_defaults_are_the_solver_defaults(self, tmp_path):
+        from wlns.cli import _load_run_config
+        from wlns.nse_solver import SolverConfig
+
+        path = write_config(tmp_path, "[solver]\nn = 8\n")
+        assert _load_run_config(str(path))[2] == SolverConfig()
+
     def test_determinism_across_runs_and_threads(self, tmp_path):
         cfg = write_config(tmp_path, RANDOM_CFG)
         traces = []
@@ -373,6 +380,21 @@ class TestCounterexample:
         assert np.all(np.diff(rows["time_norm"]) > 0)
         schedule = (out / "schedule.csv").read_text().splitlines()
         assert len(schedule) == 41
+
+    def test_one_claim1_pass(self, tmp_path, monkeypatch):
+        # the schedule table is closed-form; only the separation integrates
+        from wlns import counterexample
+
+        calls = []
+        integral = counterexample._interval_criterion_integral
+
+        def counting(schedule, n):
+            calls.append(n)
+            return integral(schedule, n)
+
+        monkeypatch.setattr(counterexample, "_interval_criterion_integral", counting)
+        assert main(["counterexample", "--terms", "40", "--out", str(tmp_path / "cx")]) == 0
+        assert len(calls) == 40
 
     def test_one_term_writes_one_schedule_row(self, tmp_path):
         # the claim-2 series needs two terms; the table keeps the first only

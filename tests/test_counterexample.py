@@ -7,8 +7,8 @@ import pytest
 
 from wlns.counterexample import (
     CounterexampleField,
-    Dyadic,
     DyadicSchedule,
+    _exp2,
     amplitude,
     amplitude_log2,
     check_disjoint,
@@ -28,35 +28,22 @@ from wlns.lorentz import weak_norm
 LN2 = math.log(2.0)
 
 
-class TestDyadic:
-    @pytest.mark.parametrize("value", [1.0, 2.0, 0.375, 1.75e300, 3e-300])
-    def test_float_roundtrip(self, value):
-        d = Dyadic.from_float(value)
-        assert 1.0 <= d.mantissa < 2.0
-        assert d.to_float() == value
-
-    def test_log2_roundtrip(self):
-        d = Dyadic.from_log2(7.5)
-        assert d.log2 == pytest.approx(7.5, abs=1e-14)
-        assert d.to_float() == pytest.approx(2.0**7.5, rel=1e-14)
+class TestExp2:
+    def test_half_integers_match_pow(self):
+        for m in np.arange(-1073.5, 1024.0, 1.0).tolist():
+            assert _exp2(m) == 2.0**m, m
 
     def test_saturation(self):
-        assert Dyadic.from_log2(5000.0).to_float() == math.inf
-        assert Dyadic.from_log2(-5000.0).to_float() == 0.0
+        assert _exp2(5000.0) == math.inf
+        assert _exp2(-5000.0) == 0.0
 
-    def test_arithmetic(self):
-        a = Dyadic.from_log2(10.25)
-        b = Dyadic.from_log2(-3.5)
-        assert (a * b).log2 == pytest.approx(6.75, abs=1e-12)
-        assert a.power(4.0).log2 == pytest.approx(41.0, abs=1e-12)
+    def test_double_range_edges(self):
+        assert _exp2(1024.0) == math.inf
+        assert _exp2(-1074.0) == 5e-324
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Dyadic(2.5, 0)
-        with pytest.raises(ValueError):
-            Dyadic.from_float(0.0)
-        with pytest.raises(ValueError):
-            Dyadic.from_log2(math.inf)
+    def test_below_smallest_subnormal_is_zero(self):
+        # a plain ldexp would round this up to 5e-324
+        assert _exp2(-1074.5) == 0.0
 
 
 class TestSchedule:
