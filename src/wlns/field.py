@@ -347,18 +347,6 @@ class SpectralField:
     def is_vector(self) -> bool:
         return self.modes.ndim == 4
 
-    def hermitian_defect(self) -> float:
-        """Max deviation of ``mode(-k) - conj(mode(k))`` where a half spectrum can have one.
-
-        The last-axis planes 0 and n/2 are their own mirror images, so
-        Hermitian symmetry is a constraint inside those two planes; the
-        rest of the full spectrum is implied by the stored half.
-        """
-        planes = self.modes[..., [0, -1]]
-        axes = (-3, -2)
-        mirrored = np.roll(np.flip(planes, axis=axes), 1, axis=axes)
-        return float(np.abs(mirrored - np.conj(planes)).max())
-
 
 def forward_transform(field: ScalarField | VectorField) -> SpectralField:
     """Half-spectrum transform of a physical field; modes are normalised by ``n**3``."""
@@ -433,19 +421,6 @@ def laplacian(field: ScalarField | SpectralField) -> ScalarField:
     kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
     sym = -(kx**2 + ky**2 + kz**2)
     return ScalarField(grid, _inverse(grid, sym * modes))
-
-
-def sample_scalar(grid: Grid, func: Callable) -> ScalarField:
-    """Evaluate ``func(X, Y, Z)`` on the grid."""
-    X, Y, Z = grid.coordinates
-    return ScalarField(grid, np.asarray(func(X, Y, Z), dtype=np.float64))
-
-
-def sample_vector(grid: Grid, func: Callable) -> VectorField:
-    """Evaluate a closed form returning three components on the grid."""
-    X, Y, Z = grid.coordinates
-    u1, u2, u3 = (np.broadcast_to(np.asarray(c, dtype=np.float64), X.shape) for c in func(X, Y, Z))
-    return VectorField.from_arrays(grid, u1, u2, u3)
 
 
 def rescale(

@@ -8,12 +8,15 @@ quadrature, and probes the divergence of the tail integral.
 
 Everything involving ``Phi`` is computed after the substitution
 ``r = e^s``, which turns the integrand into ``1/(e + logaddexp(1, s))`` --
-smooth, slowly varying, and immune to overflow at any H scale.
+analytic, slowly varying, and immune to overflow at any H scale.  A
+fixed 12-point Gauss-Legendre rule on bounded panels integrates it to
+rounding, and Newton's method with that exact derivative inverts ``Phi``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -52,39 +55,64 @@ def _damping_log(s: float) -> float:
     return 1.0 / (E + _logaddexp1(s))
 
 
+#: Longest panel of ``_phi_increment`` in s.  The damping's singularities
+#: lie pi off the real axis, so a 12-point panel this long is exact to
+#: rounding.
+_PANEL = 2.0
+
+
+@functools.cache
+def _gl_rule() -> tuple:
+    """(node, weight) pairs of the 12-point Gauss-Legendre rule on [-1, 1].
+
+    Built at first use, so ``import wlns`` does not load ``numpy.polynomial``.
+    """
+    return tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(12))))
+
+
+def _gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
+    """``int_a^b f`` by one 12-point Gauss-Legendre panel."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * sum(w * f(mid + half * x) for x, w in _gl_rule())
+
+
 def _phi_increment(s_lo: float, s_hi: float) -> float:
-    """``int_{e^s_lo}^{e^s_hi} dr/Psi(r)``, evaluated in log space."""
-    import scipy.integrate
-    if s_hi == s_lo:
-        return 0.0
-    value, _ = scipy.integrate.quad(_damping_log, s_lo, s_hi, epsabs=1e-13, epsrel=1e-12)
-    return value
+    """``int_{e^s_lo}^{e^s_hi} dr/Psi(r)``, evaluated in log space.
+
+    Composite Gauss-Legendre on equal panels at most ``_PANEL`` long; the
+    damping is analytic, so a fixed rule is spectrally accurate on it.
+    """
+    panels = math.ceil(abs(s_hi - s_lo) / _PANEL)
+    if panels <= 1:
+        return _gauss_legendre(_damping_log, s_lo, s_hi)
+    width = (s_hi - s_lo) / panels
+    edges = [s_lo + k * width for k in range(panels)] + [s_hi]
+    return math.fsum(_gauss_legendre(_damping_log, a, b) for a, b in zip(edges, edges[1:]))
 
 
 def _phi_invert(s_lo: float, target: float) -> float:
     """Return s with ``int_{s_lo}^{s} damping = target`` (target >= 0).
 
-    Returns a value above ``_S_CEILING`` untouched so callers can flag
-    overflow; the integrand is positive and decreasing so the root is
-    unique.
+    Newton on ``Phi(s) - target`` with the exact derivative, the damping.
+    The first iterate is the Newton step from ``s_lo``, where the residual
+    is ``-target``.  Phi is increasing and concave, so every iterate stays
+    below the root and climbs to it; the loop ends once the error left is
+    below an ulp of s, or as soon as a step fails to increase s.  A value
+    above ``2 * _S_CEILING`` is returned untouched so callers can flag
+    overflow.
     """
-    import scipy.optimize
     if target == 0.0:
         return s_lo
-    # the integrand is below 1/e everywhere, so s - s_lo >= e * target is
-    # never enough of an overshoot guarantee; double until bracketed
-    s_hi = s_lo + max(1.0, E * target)
-    while _phi_increment(s_lo, s_hi) < target:
-        if s_hi > 2.0 * _S_CEILING:
-            return s_hi
-        s_hi = s_lo + 2.0 * (s_hi - s_lo)
-    return scipy.optimize.brentq(
-        lambda s: _phi_increment(s_lo, s) - target,
-        s_lo,
-        s_hi,
-        xtol=1e-13,
-        rtol=8.882e-16,
-    )
+    s = s_lo + target * (E + _logaddexp1(s_lo))
+    while s <= 2.0 * _S_CEILING:
+        step = (target - _phi_increment(s_lo, s)) * (E + _logaddexp1(s))
+        if not step > 0.0:
+            return s
+        s += step
+        # Newton's error after a step is at most about step**2 / (2 (e + 1))
+        if step * step <= math.ulp(s):
+            return s
+    return s
 
 
 def psi_tail(m: Optional[float] = None, *, log_m: Optional[float] = None) -> float:
@@ -97,11 +125,11 @@ def psi_tail(m: Optional[float] = None, *, log_m: Optional[float] = None) -> flo
     if (m is None) == (log_m is None):
         raise ValueError("give exactly one of m and log_m")
     if log_m is None:
-        if m < 1.0:
-            raise ValueError("m must be >= 1")
+        if not 1.0 <= m < math.inf:
+            raise ValueError("m must be finite and >= 1")
         log_m = math.log(m)
-    elif log_m < 0.0:
-        raise ValueError("log_m must be >= 0")
+    elif not 0.0 <= log_m < math.inf:
+        raise ValueError("log_m must be finite and >= 0")
     value = _phi_increment(0.0, log_m)
     floor = math.log(E + _logaddexp1(log_m)) - math.log(E + math.log(E + 1.0))
     if value < floor - 1e-9:
@@ -312,8 +340,8 @@ def solve_bound(
 
     Sampled (piecewise-constant) B defaults to the exact method: on each
     constant piece the ODE is autonomous and ``Phi(H_next) - Phi(H_prev) =
-    C b dt`` is solved by root finding in log space, so the only error is
-    quadrature tolerance.  ``dt`` then just densifies the output grid.
+    C b dt`` is solved for ``log H_next`` by Newton's method, so the only
+    error is rounding.  ``dt`` then just densifies the output grid.
     Callable B defaults to classic RK4 with fixed step ``dt`` (required).
     ``psi_mode='identity'`` replaces Psi by r (debug mode; the solution is
     ``h0 exp(C int B)``).
@@ -337,8 +365,8 @@ def solve_bound(
 def implicit_check(solution: BoundSolution) -> np.ndarray:
     """Deviation ``Phi(H(t)) - C int_{t_start}^t B`` at each output time.
 
-    ``Phi`` is accumulated by adaptive quadrature between consecutive H
-    values (in log space), so the result measures how far the integrated
+    ``Phi`` is accumulated by Gauss-Legendre quadrature between consecutive
+    H values (in log space), so the result measures how far the integrated
     trace drifts from the implicit identity the ODE preserves exactly.
     Entries where H has overflowed are NaN.
     """
@@ -364,7 +392,7 @@ def implicit_check(solution: BoundSolution) -> np.ndarray:
 def bound_root(problem: BoundProblem) -> float:
     """H(t_end) predicted by the implicit identity alone.
 
-    Solves ``Phi(H) = C int B`` for H by root finding; an oracle for the
+    Solves ``Phi(H) = C int B`` for H by Newton's method; an oracle for the
     time steppers.  Raises on overflow past the H ceiling.
     """
     s = _phi_invert(math.log(problem.h0), problem.c * problem.b_integral)

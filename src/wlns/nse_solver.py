@@ -459,39 +459,6 @@ def _min_image(grid: Grid, center: Sequence[float]) -> np.ndarray:
     )
 
 
-def gaussian_bump(center: Sequence[float], width: float) -> CutoffFunction:
-    """Time-independent ``exp(-|x - c|^2 / (2 w^2))`` (min-image distance).
-
-    Smooth on the torus up to a seam kink of size ``exp(-L^2/(8 w^2))``;
-    widths around ``L/12`` keep that far below discretization error.
-    """
-    if width <= 0:
-        raise ValueError("width must be positive")
-
-    def displacement(grid):
-        return _min_image(grid, center)
-
-    def value(grid, t):
-        d = displacement(grid)
-        return np.exp(-np.sum(d**2, axis=0) / (2.0 * width**2))
-
-    def gradient(grid, t):
-        d = displacement(grid)
-        return -d / width**2 * value(grid, t)
-
-    def laplacian(grid, t):
-        d = displacement(grid)
-        rho2 = np.sum(d**2, axis=0)
-        return np.exp(-rho2 / (2.0 * width**2)) * (rho2 / width**4 - 3.0 / width**2)
-
-    return CutoffFunction(
-        value=value,
-        time_derivative=lambda grid, t: np.zeros(grid.shape),
-        gradient=gradient,
-        laplacian=laplacian,
-    )
-
-
 def smoothstep_down(s: np.ndarray) -> np.ndarray:
     """Quintic ramp: 1 for s <= 0, 0 for s >= 1, C^2 across the joins."""
     s = np.clip(s, 0.0, 1.0)

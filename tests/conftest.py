@@ -4,13 +4,17 @@
 straight from ``np.fft.fftfreq`` and independent of ``wlns.field``; the
 numpy-FFT oracles in the test modules import it from here.
 ``masked_step`` is the solver's RK4 step on the whole half spectrum, the
-oracle for the step on the kept block.
+oracle for the step on the kept block.  ``sample_scalar``,
+``sample_vector``, ``hermitian_defect`` and ``gaussian_bump`` build test
+fields, check spectra and localize energy balances.
 """
+
+from typing import Callable, Sequence
 
 import numpy as np
 
-from wlns.field import TWO_PI
-from wlns.nse_solver import leray_project, nonlinear_term
+from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField
+from wlns.nse_solver import CutoffFunction, _min_image, leray_project, nonlinear_term
 
 
 def reference_symbols(n: int, length: float):
@@ -52,3 +56,62 @@ def masked_step(grid, modes, config):
     a4 = advect(decay_full * modes - dt * decay_half * a3)
     new = decay_full * modes - (dt / 6.0) * (decay_full * a1 + 2.0 * decay_half * (a2 + a3) + a4)
     return leray_project(grid, new)
+
+
+def sample_scalar(grid: Grid, func: Callable) -> ScalarField:
+    """Evaluate ``func(X, Y, Z)`` on the grid."""
+    X, Y, Z = grid.coordinates
+    return ScalarField(grid, np.asarray(func(X, Y, Z), dtype=np.float64))
+
+
+def sample_vector(grid: Grid, func: Callable) -> VectorField:
+    """Evaluate a closed form returning three components on the grid."""
+    X, Y, Z = grid.coordinates
+    u1, u2, u3 = (np.broadcast_to(np.asarray(c, dtype=np.float64), X.shape) for c in func(X, Y, Z))
+    return VectorField.from_arrays(grid, u1, u2, u3)
+
+
+def hermitian_defect(spec: SpectralField) -> float:
+    """Max deviation of ``mode(-k) - conj(mode(k))`` where a half spectrum can have one.
+
+    The last-axis planes 0 and n/2 are their own mirror images, so
+    Hermitian symmetry is a constraint inside those two planes; the
+    rest of the full spectrum is implied by the stored half.
+    """
+    planes = spec.modes[..., [0, -1]]
+    axes = (-3, -2)
+    mirrored = np.roll(np.flip(planes, axis=axes), 1, axis=axes)
+    return float(np.abs(mirrored - np.conj(planes)).max())
+
+
+def gaussian_bump(center: Sequence[float], width: float) -> CutoffFunction:
+    """Time-independent ``exp(-|x - c|^2 / (2 w^2))`` (min-image distance).
+
+    Smooth on the torus up to a seam kink of size ``exp(-L^2/(8 w^2))``;
+    widths around ``L/12`` keep that far below discretization error.
+    """
+    if width <= 0:
+        raise ValueError("width must be positive")
+
+    def displacement(grid):
+        return _min_image(grid, center)
+
+    def value(grid, t):
+        d = displacement(grid)
+        return np.exp(-np.sum(d**2, axis=0) / (2.0 * width**2))
+
+    def gradient(grid, t):
+        d = displacement(grid)
+        return -d / width**2 * value(grid, t)
+
+    def laplacian(grid, t):
+        d = displacement(grid)
+        rho2 = np.sum(d**2, axis=0)
+        return np.exp(-rho2 / (2.0 * width**2)) * (rho2 / width**4 - 3.0 / width**2)
+
+    return CutoffFunction(
+        value=value,
+        time_derivative=lambda grid, t: np.zeros(grid.shape),
+        gradient=gradient,
+        laplacian=laplacian,
+    )

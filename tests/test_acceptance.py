@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import gaussian_bump
 
 from wlns.cli import main as cli_main
 from wlns.counterexample import DyadicSchedule, claim1_terms, claim2_lower_bound
@@ -36,7 +37,6 @@ from wlns.nse_solver import (
     SimulationResult,
     SolverConfig,
     energy_residual,
-    gaussian_bump,
     kinetic_energy,
     pressure_from_velocity,
     random_divfree,

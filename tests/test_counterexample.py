@@ -1,6 +1,8 @@
 """Tests for the dyadic-amplitude profile and the criterion/Lorentz split."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +252,16 @@ class TestClaim1:
     def test_rejects_empty_truncation(self):
         with pytest.raises(ValueError):
             claim1_terms(DyadicSchedule(q=6.0), 0)
+
+    def test_integrals_match_reference(self):
+        # 40-digit mpmath references, written by tests/data/make_phi_reference.py
+        path = Path(__file__).parent / "data" / "phi_reference.json"
+        rows = json.loads(path.read_text())["claim1"]
+        report = claim1_terms(DyadicSchedule(q=6.0), 400)
+        for q, n, ref in rows:
+            assert q == 6.0
+            expected = float(ref)
+            assert abs(report.integrals[n - 1] - expected) <= 4.0 * math.ulp(expected), n
 
 
 class TestClaim2:

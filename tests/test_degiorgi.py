@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_symbols
+from conftest import gaussian_bump, reference_symbols
 
 from wlns.degiorgi import (
     BetaFit,
@@ -33,7 +33,6 @@ from wlns.nse_solver import (
     constant_one,
     cylinder_cutoff,
     energy_residual,
-    gaussian_bump,
     random_divfree,
     run,
     taylor_green,

@@ -1,7 +1,9 @@
 """Tests for the log-damped Gronwall integrator."""
 
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ import wlns.counterexample
 import wlns.gronwall
 from wlns.counterexample import DyadicSchedule, claim1_terms
 from wlns.gronwall import (
+    _S_CEILING,
     BoundProblem,
     _damping_log,
     _logaddexp1,
+    _phi_increment,
+    _phi_invert,
     bound_root,
     implicit_check,
     psi,
@@ -23,6 +28,8 @@ from wlns.gronwall import (
 )
 
 E = math.e
+#: 40-digit mpmath references, written by tests/data/make_phi_reference.py
+REFERENCE = json.loads((Path(__file__).parent / "data" / "phi_reference.json").read_text())
 
 
 class TestPsi:
@@ -62,6 +69,59 @@ class TestPsi:
             psi_tail(2.0, log_m=1.0)
         with pytest.raises(ValueError):
             psi_tail(0.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                psi_tail(bad)
+            with pytest.raises(ValueError, match="finite"):
+                psi_tail(log_m=bad)
+
+
+class TestPhiPrimitives:
+    """The Gauss-Legendre increment and its Newton inverse."""
+
+    def test_increments_and_inversions_match_reference(self):
+        # the inversions are exact to rounding; brentq's xtol of 1e-13
+        # left errors up to 2.3e-14 in this chain
+        for s_lo, s_hi, ref in REFERENCE["increments"]:
+            assert _phi_increment(s_lo, s_hi) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+        for s_lo, target, ref in REFERENCE["inversions"]:
+            root = float(ref)
+            assert abs(_phi_invert(s_lo, target) - root) <= 1e-15 * max(1.0, abs(root))
+
+    def test_tail_matches_reference(self):
+        for log_m, ref in REFERENCE["psi_tail"]:
+            assert psi_tail(log_m=log_m) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+    def test_additivity(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            a = rng.uniform(-50.0, 700.0)
+            b, c = a + np.sort(10.0 ** rng.uniform(-9.0, 2.0, 2))
+            whole = _phi_increment(a, c)
+            parts = _phi_increment(a, b) + _phi_increment(b, c)
+            assert abs(parts - whole) <= 4.0 * math.ulp(whole)
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            s, target = rng.uniform(-50.0, 700.0), 10.0 ** rng.uniform(-12.0, math.log10(50.0))
+            root = _phi_invert(s, target)
+            if root > 2.0 * _S_CEILING:
+                # the inverse stops past twice the ceiling, short of the root
+                assert _phi_increment(s, 2.0 * _S_CEILING) < target
+                continue
+            # a few ulp of the target, plus what one ulp of the root is worth
+            slack = 4.0 * math.ulp(target) + math.ulp(root) * _damping_log(s)
+            assert abs(_phi_increment(s, root) - target) <= slack
+
+    def test_root_past_the_ceiling_is_returned(self):
+        target = _phi_increment(0.0, _S_CEILING + 5.0)
+        assert _phi_invert(0.0, target) == pytest.approx(_S_CEILING + 5.0, rel=1e-14)
+        assert _phi_invert(0.0, 2.0 * target) > 2.0 * _S_CEILING
+
+    def test_zero_target_returns_start(self):
+        for s in (-50.0, -0.0, 0.0, 1.0, 700.0):
+            assert struct.pack("d", _phi_invert(s, 0.0)) == struct.pack("d", s)
 
 
 class TestLogaddexp1:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import masked_step, reference_symbols
+from conftest import gaussian_bump, hermitian_defect, masked_step, reference_symbols
 
 from wlns.field import (
     Grid,
@@ -21,7 +21,6 @@ from wlns.nse_solver import (
     constant_one,
     cylinder_cutoff,
     energy_residual,
-    gaussian_bump,
     kinetic_energy,
     leray_project,
     nonlinear_term,
@@ -307,7 +306,7 @@ class TestStepping:
         final = tg_run_32.snapshots[-1]
         modes = to_spectral(final)
         assert spectral_divergence_defect(final.grid, modes) < 1e-10
-        assert SpectralField(final.grid, modes).hermitian_defect() < 1e-12
+        assert hermitian_defect(SpectralField(final.grid, modes)) < 1e-12
 
     def test_cfl_series_recorded(self, tg_run_32):
         result = tg_run_32
