@@ -3,7 +3,8 @@
 One executable, five subcommands, INI configs for the solver, CSV + JSON
 manifest outputs.  Exit codes: 0 on success, 1 for usage/config problems
 (malformed files report the offending line), 2 when a run halts on
-blow-up, overflow or an interrupt (partial outputs are still flushed).
+blow-up, overflow, an interrupt or running out of memory (partial outputs
+are still flushed).
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ def _cmd_simulate(args) -> int:
     except KeyboardInterrupt as exc:
         # the snapshots written so far stay listed, with the trace up to them
         manifest.halted, result = "interrupted", getattr(exc, "result", None)
+    except MemoryError as exc:
+        manifest.halted, result = "out of memory", getattr(exc, "result", None)
     if result is not None and result.trace is not None:
         result.trace.to_csv(manifest.output("trace.csv"))
     manifest.write()

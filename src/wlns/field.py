@@ -270,11 +270,11 @@ class _Block:
         self._cut = slice(lead, n - size + lead)  # the half spectrum's rows between the runs
         index, kz = np.flatnonzero(keep), ops.kz[..., : self.width]
         self.symbols = ops.kx[index], ops.ky[:, index], kz, self.gather(ops.k2)
-        self._buffers: dict[tuple, list[np.ndarray]] = {}  # see inverse
 
-    def gather(self, modes: np.ndarray) -> np.ndarray:
-        """The block of ``(..., n, n, m)`` modes, ``m >= width``."""
-        out = np.empty((*modes.shape[:-3], *self.shape), dtype=modes.dtype)
+    def gather(self, modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The block of ``(..., n, n, m)`` modes, ``m >= width``, written to ``out`` if given."""
+        if out is None:
+            out = np.empty((*modes.shape[:-3], *self.shape), dtype=modes.dtype)
         for bx, fx in self._runs:
             for by, fy in self._runs:
                 out[..., bx, by, :] = modes[..., fx, fy, : self.width]
@@ -288,31 +288,37 @@ class _Block:
                 out[..., fx, fy, : self.width] = block[..., bx, by, :]
         return out
 
+    @cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y line buffers of :meth:`inverse`, sized for one field."""
+        sizes = ((self.shape[1], self.width), (self.n, self.half))
+        return tuple(np.zeros((self.n, *m), dtype=complex) for m in sizes)
+
     def inverse(self, block: np.ndarray) -> np.ndarray:
         """``_inverse`` of ``scatter(block)`` bit for bit, skipping lines that stay zero.
 
-        The axes go in ``irfftn``'s order, x then y then z, in two buffers
-        kept per leading shape, so a call allocates little beyond its result.
+        The axes go in ``irfftn``'s order, x then y then z, one field of a
+        batch at a time through two buffers sized for one field, so a call
+        allocates little beyond its result.
         """
         import scipy.fft
-        batch = block.shape[:-3]
-        if batch not in self._buffers:
-            sizes = ((self.shape[1], self.width), (self.n, self.half))
-            self._buffers[batch] = [np.zeros((*batch, self.n, *m), dtype=complex) for m in sizes]
-        x_lines, y_lines = self._buffers[batch]
+        x_lines, y_lines = self._lines
         y_kept = y_lines[..., : self.width]
-        # the last call's transforms filled the rows outside the block
-        x_lines[..., self._cut, :, :] = 0.0
-        y_kept[..., self._cut, :] = 0.0
-        for b, f in self._runs:
-            x_lines[..., f, :, :] = block[..., b, :, :]
-        done = scipy.fft.ifft(x_lines, axis=-3, norm="forward", overwrite_x=True)
-        for b, f in self._runs:
-            y_kept[..., f, :] = done[..., b, :]
-        done = scipy.fft.ifft(y_kept, axis=-2, norm="forward", overwrite_x=True)
-        if not np.may_share_memory(done, y_kept):  # overwrite_x permits in place, no more
-            y_kept[...] = done
-        return scipy.fft.irfft(y_lines, n=self.n, axis=-1, norm="forward")
+        out = np.empty((*block.shape[:-3], self.n, self.n, self.n))
+        for field in np.ndindex(block.shape[:-3]):
+            # the last field's transforms filled the rows outside the block
+            x_lines[self._cut] = 0.0
+            y_kept[:, self._cut] = 0.0
+            for b, f in self._runs:
+                x_lines[f] = block[(*field, b)]
+            done = scipy.fft.ifft(x_lines, axis=0, norm="forward", overwrite_x=True)
+            for b, f in self._runs:
+                y_kept[:, f] = done[:, b]
+            done = scipy.fft.ifft(y_kept, axis=1, norm="forward", overwrite_x=True)
+            if not np.may_share_memory(done, y_kept):  # overwrite_x permits in place, no more
+                y_kept[...] = done
+            out[field] = scipy.fft.irfft(y_lines, n=self.n, axis=2, norm="forward")
+        return out
 
 
 # one entry per live grid; equal grids share it, and it goes with the last

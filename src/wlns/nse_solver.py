@@ -189,31 +189,33 @@ def spectral_divergence_defect(grid: Grid, modes: np.ndarray) -> float:
     return float(div.max() / peak)
 
 
-def _product_modes(u: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
-    """Half-spectrum transforms of the six distinct ``u_i u_j``, stacked.
+def _product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np.ndarray:
+    """The ``block`` of the half-spectrum transforms of the six distinct ``u_i u_j``, stacked.
 
     ``u`` is the stacked ``(3, n, n, n)`` velocity; an optional pointwise
-    ``weight`` multiplies every product before its transform.
+    ``weight`` multiplies every product before its transform.  Each product
+    is formed in one reused buffer and transformed alone, so only one
+    product and its transform are live at a time.
     """
-    products = np.empty((len(_PAIRS), *u.shape[1:]))
+    out = np.empty((len(_PAIRS), *block.shape), dtype=np.complex128)
+    product = np.empty(u.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (i, j) in enumerate(_PAIRS):
-            np.multiply(u[i], u[j], out=products[idx])
+            np.multiply(u[i], u[j], out=product)
             if weight is not None:
-                products[idx] *= weight
-    return _forward(products)
+                product *= weight
+            block.gather(_forward(product), out=out[idx])
+    return out
 
 
-def _advection(u: np.ndarray, symbols: tuple, factor, block=None) -> np.ndarray:
-    """``factor * k_j (u_i u_j)^`` of the stacked physical velocity ``u``, on ``block`` if given."""
-    products = _product_modes(u)
-    # a non-finite product leaves its transform non-finite: one scan
-    # covers all six
+def _advection(u: np.ndarray, block, factor) -> np.ndarray:
+    """``factor * k_j (u_i u_j)^`` on ``block`` of the stacked physical velocity ``u``."""
+    products = _product_modes(u, block)
+    # a non-finite product leaves every mode of its transform non-finite:
+    # one scan of the block covers all six
     if not np.isfinite(products).all():
         raise BlowUpError("overflow in physical-space product", last_time=math.nan)
-    if block is not None:
-        products = block.gather(products)
-    kx, ky, kz, _ = symbols
+    kx, ky, kz, _ = block.symbols
     out = np.empty((3, *products.shape[1:]), dtype=np.complex128)
     for i, (a, b, c) in enumerate(_PAIR_INDEX):
         out[i] = kx * products[a] + ky * products[b] + kz * products[c]
@@ -230,7 +232,8 @@ def nonlinear_term(grid: Grid, modes: np.ndarray, mask: np.ndarray) -> np.ndarra
     spectrum; ``mask`` may be half or full (``Grid.dealias_mask``).
     """
     ops = _operators(grid)
-    return _advection(_inverse(grid, modes), ops.symbols(ops.half), 1j * mask[..., : ops.half])
+    # the block of fraction 1 is the whole half spectrum
+    return _advection(_inverse(grid, modes), ops.block(1.0), 1j * mask[..., : ops.half])
 
 
 def pressure_from_velocity(
@@ -243,7 +246,7 @@ def pressure_from_velocity(
     tensor before the solve (used for the high/low pressure split).
     """
     block = _operators(u.grid).block(dealias_fraction)
-    products = block.gather(_product_modes(u.as_array(), weight))
+    products = _product_modes(u.as_array(), block, weight)
     *k, k2 = block.symbols
     phat = np.zeros(block.shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(_PAIRS):
@@ -310,7 +313,7 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     # minus the right-hand side; the sign is carried by the RK4 weights,
     # which flips no bit of the result
     def advect(u):
-        return _project(_advection(u, block.symbols, 1j, block), *block.symbols)
+        return _project(_advection(u, block, 1j), *block.symbols)
 
     u0 = block.gather(state.modes)
     a1 = advect(state.physical)
@@ -356,7 +359,8 @@ def run(
     recorded and ``result.snapshots`` stays empty, so memory does not grow
     with the trajectory.  Blow-up (non-finite modes or ``max|u|`` past the
     threshold) raises :class:`BlowUpError` carrying the partial result; a
-    ``KeyboardInterrupt`` gets it as its ``result`` attribute.
+    ``KeyboardInterrupt`` or ``MemoryError`` gets it as its ``result``
+    attribute.
     """
     grid = u0.grid
     state = SolverState.from_velocity(u0, config)
@@ -408,7 +412,7 @@ def run(
                 record(state, u)
             if callback is not None:
                 callback(state)
-    except KeyboardInterrupt as exc:
+    except (KeyboardInterrupt, MemoryError) as exc:
         exc.result = partial()
         raise
     return partial()

@@ -4,7 +4,9 @@
 straight from ``np.fft.fftfreq`` and independent of ``wlns.field``; the
 numpy-FFT oracles in the test modules import it from here.
 ``masked_step`` is the solver's RK4 step on the whole half spectrum, the
-oracle for the step on the kept block.  ``sample_scalar``,
+oracle for the step on the kept block.  ``batched_product_modes`` is
+the six quadratic products transformed as one stack, the oracle for the
+solver's one-product-at-a-time transforms.  ``sample_scalar``,
 ``sample_vector``, ``hermitian_defect`` and ``gaussian_bump`` build test
 fields, check spectra and localize energy balances.
 """
@@ -13,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField
-from wlns.nse_solver import CutoffFunction, _min_image, leray_project, nonlinear_term
+from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField, _forward
+from wlns.nse_solver import _PAIRS, CutoffFunction, _min_image, leray_project, nonlinear_term
 
 
 def reference_symbols(n: int, length: float):
@@ -56,6 +58,17 @@ def masked_step(grid, modes, config):
     a4 = advect(decay_full * modes - dt * decay_half * a3)
     new = decay_full * modes - (dt / 6.0) * (decay_full * a1 + 2.0 * decay_half * (a2 + a3) + a4)
     return leray_project(grid, new)
+
+
+def batched_product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np.ndarray:
+    """``block`` of the ``rfftn`` of all six ``u_i u_j`` (times ``weight``) stacked at once."""
+    products = np.empty((len(_PAIRS), *u.shape[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (i, j) in enumerate(_PAIRS):
+            np.multiply(u[i], u[j], out=products[idx])
+            if weight is not None:
+                products[idx] *= weight
+    return block.gather(_forward(products))
 
 
 def sample_scalar(grid: Grid, func: Callable) -> ScalarField:

@@ -167,6 +167,40 @@ class TestSimulate:
         assert len(snapshots) - 1 <= len(trace.t) <= len(snapshots)
         assert list(trace.t) == times[: len(trace.t)]
 
+    def test_out_of_memory_leaves_readable_partial_outputs(self, tmp_path, monkeypatch, capsys):
+        import wlns.field
+
+        calls = []
+
+        def failing_write(path, t, u):
+            calls.append(t)
+            if len(calls) == 3:
+                raise MemoryError
+            write_snapshot(path, t, u)
+
+        monkeypatch.setattr(wlns.field, "write_snapshot", failing_write)
+        cfg = write_config(
+            tmp_path,
+            "[solver]\nn = 16\ndt = 1e-3\nt_end = 0.01\nsnapshot_every = 2\n"
+            "initial_condition = taylor_green\n\n[diagnostics]\nq = 6.0\n\n"
+            "[output]\nprefix = tg\n",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert "halted: out of memory" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halted"] == "out of memory"
+        listed = [entry["path"] for entry in manifest["outputs"]]
+        assert sorted(listed) == ["tg_000000.bin", "tg_000001.bin", "trace.csv"]
+        for entry in manifest["outputs"]:
+            data = (out / entry["path"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+            assert len(data) == entry["bytes"]
+        times = [read_vector_snapshot(out / f"tg_{i:06d}.bin")[0] for i in range(2)]
+        assert times == pytest.approx([0.0, 0.002], abs=1e-12)
+        trace = CriterionTrace.from_csv(out / "trace.csv", q=6.0)
+        assert list(trace.t) == times
+
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[solver]\nn = 16\nthis is not a key value pair\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "x")]) == 1

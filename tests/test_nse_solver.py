@@ -1,8 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import gaussian_bump, hermitian_defect, masked_step, reference_symbols
+from conftest import (
+    batched_product_modes,
+    gaussian_bump,
+    hermitian_defect,
+    masked_step,
+    reference_symbols,
+)
 
 from wlns.field import (
     Grid,
@@ -12,6 +19,7 @@ from wlns.field import (
     forward_transform,
     gradient,
     laplacian,
+    _operators,
 )
 from wlns.nse_solver import (
     BlowUpError,
@@ -37,6 +45,7 @@ from wlns.nse_solver import (
     taylor_green,
     to_physical,
     to_spectral,
+    _product_modes,
 )
 
 
@@ -486,6 +495,43 @@ class TestBlockStep:
         for state in states:
             assert np.all(state.modes[:, cut] == 0.0)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    def test_products_match_batched_transform(self, n, fraction, weighted):
+        grid = Grid(n=n)
+        u = random_divfree(grid, seed=n + 1, amplitude=2.0)
+        weight = (u.magnitude().values >= 1.0).astype(np.float64) if weighted else None
+        block = _operators(grid).block(fraction)
+        want = batched_product_modes(u.as_array(), block, weight)
+        assert np.array_equal(_product_modes(u.as_array(), block, weight), want)
+
+    def test_overflow_in_product_halts_step(self):
+        grid = Grid(n=16)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01)
+        u = random_divfree(grid, seed=2, amplitude=1e200)
+        state = SolverState.from_velocity(u, config)
+        with pytest.raises(BlowUpError, match="^overflow in physical-space product"):
+            step(state, config)
+
+    def test_step_memory_stays_below_five_fields(self):
+        """A warmed 48^3 step allocates at most five ``(3, n, n, n)`` fields at once.
+
+        The products are formed and transformed one at a time and the block
+        inverse works one field at a time, which keeps the peak near 4.4
+        fields.
+        """
+        grid = Grid(n=48)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01)
+        state = step(SolverState.from_velocity(random_divfree(grid, seed=1), config), config)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step(state, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * state.physical.nbytes
 
 
 class TestSink:
