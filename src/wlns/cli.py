@@ -420,6 +420,8 @@ def _cmd_gronwall(args) -> int:
         solution = solve_bound(problem, dt=args.dt)
     except (OSError, ValueError) as exc:
         return _fail(f"{args.b_csv}: {exc}")
+    except MemoryError as exc:  # only the --dt densification can ask this much
+        return _fail(f"--dt {args.dt!r}: {exc}")
     deviations = implicit_check(solution)
 
     manifest = RunManifest(

@@ -8,9 +8,11 @@ quadrature, and probes the divergence of the tail integral.
 
 Everything involving ``Phi`` is computed after the substitution
 ``r = e^s``, which turns the integrand into ``1/(e + logaddexp(1, s))`` --
-analytic, slowly varying, and immune to overflow at any H scale.  A
-fixed 12-point Gauss-Legendre rule on bounded panels integrates it to
-rounding, and Newton's method with that exact derivative inverts ``Phi``.
+analytic, slowly varying, and immune to overflow at any H scale.  One
+array kernel, a fixed 12-point Gauss-Legendre rule on bounded panels,
+integrates it to rounding over every span at once.  The exact bound for a
+sampled B inverts ``Phi`` by one Newton iteration over all pieces together,
+with that integrand as the exact derivative.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,12 +52,7 @@ def _logaddexp1(s: float) -> float:
     return s + math.log1p(math.exp(tmp))  # NaN lands here and stays NaN
 
 
-def _damping_log(s: float) -> float:
-    # d(Phi o exp)/ds = e^s / Psi(e^s) = 1/(e + log(e + e^s))
-    return 1.0 / (E + _logaddexp1(s))
-
-
-#: Longest panel of ``_phi_increment`` in s.  The damping's singularities
+#: Longest panel of ``_phi_increments`` in s.  The damping's singularities
 #: lie pi off the real axis, so a 12-point panel this long is exact to
 #: rounding.
 _PANEL = 2.0
@@ -63,56 +60,89 @@ _PANEL = 2.0
 
 @functools.cache
 def _gl_rule() -> tuple:
-    """(node, weight) pairs of the 12-point Gauss-Legendre rule on [-1, 1].
+    """(nodes, weights) of the 12-point Gauss-Legendre rule on [-1, 1].
 
     Built at first use, so ``import wlns`` does not load ``numpy.polynomial``.
     """
-    return tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(12))))
+    return tuple(a.tolist() for a in np.polynomial.legendre.leggauss(12))
 
 
 def _gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
     """``int_a^b f`` by one 12-point Gauss-Legendre panel."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in _gl_rule())
+    return half * sum(w * f(mid + half * x) for x, w in zip(*_gl_rule()))
 
 
-def _phi_increment(s_lo: float, s_hi: float) -> float:
-    """``int_{e^s_lo}^{e^s_hi} dr/Psi(r)``, evaluated in log space.
+def _damping_panels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_gauss_legendre`` of the damping ``1/(e + logaddexp(1, s))`` on each panel [a, b].
+
+    The weighted nodes are added one at a time in the rule's order, so each
+    value has the bits of the scalar rule.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    acc = 0.0
+    for x, w in zip(*_gl_rule()):
+        acc = acc + w * (1.0 / (E + np.logaddexp(1.0, mid + half * x)))
+    return half * acc
+
+
+def _phi_increments(lo, hi) -> np.ndarray:
+    """``int_{e^lo}^{e^hi} dr/Psi(r)`` for each pair of finite log-space ends.
 
     Composite Gauss-Legendre on equal panels at most ``_PANEL`` long; the
-    damping is analytic, so a fixed rule is spectrally accurate on it.
+    damping is analytic, so a fixed rule is spectrally accurate on it.  The
+    panels of a long span are added with ``math.fsum``.
     """
-    panels = math.ceil(abs(s_hi - s_lo) / _PANEL)
-    if panels <= 1:
-        return _gauss_legendre(_damping_log, s_lo, s_hi)
-    width = (s_hi - s_lo) / panels
-    edges = [s_lo + k * width for k in range(panels)] + [s_hi]
-    return math.fsum(_gauss_legendre(_damping_log, a, b) for a, b in zip(edges, edges[1:]))
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
+    panels = np.ceil(np.abs(hi - lo) / _PANEL)
+    out = _damping_panels(lo, hi)
+    long = np.flatnonzero(panels > 1)
+    if long.size:
+        counts = panels[long].astype(np.intp)
+        ends = np.cumsum(counts)
+        k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        width = (hi[long] - lo[long]) / panels[long]
+        a = np.repeat(lo[long], counts) + k * np.repeat(width, counts)
+        b = np.append(a[1:], 0.0)
+        b[ends - 1] = hi[long]
+        out[long] = [math.fsum(p.tolist()) for p in np.split(_damping_panels(a, b), ends[:-1])]
+    return out
 
 
-def _phi_invert(s_lo: float, target: float) -> float:
-    """Return s with ``int_{s_lo}^{s} damping = target`` (target >= 0).
+def _phi_solve(s0: float, targets) -> Tuple[np.ndarray, np.ndarray]:
+    """Return (s, rest) with ``Phi(s0, s_i + rest_i) = targets[0] + ... + targets[i]``.
 
-    Newton on ``Phi(s) - target`` with the exact derivative, the damping.
-    The first iterate is the Newton step from ``s_lo``, where the residual
-    is ``-target``.  Phi is increasing and concave, so every iterate stays
-    below the root and climbs to it; the loop ends once the error left is
-    below an ulp of s, or as soon as a step fails to increase s.  A value
-    above ``2 * _S_CEILING`` is returned untouched so callers can flag
-    overflow.
+    One Newton iteration over all rows at once.  Row i's residual is the
+    running sum of the local defects ``targets[j] - Phi(s_{j-1}, s_j)``,
+    with the targets scaled by the rule's own weight sum over 2; Phi
+    telescopes, so the Jacobian is diagonal, the damping at s_i.  Every
+    row starts at the Newton step from ``s0`` and, Phi being increasing and
+    concave, climbs to its root from below; a row stops once the error left
+    is below an ulp of s, or as soon as a step fails to increase it.  The
+    step left at the final s is returned as ``rest``, the part of the root
+    below an ulp of s.  The first row whose iterate passes
+    ``2 * _S_CEILING`` ends s untouched, so callers can flag overflow:
+    every later root lies past it.
     """
-    if target == 0.0:
-        return s_lo
-    s = s_lo + target * (E + _logaddexp1(s_lo))
-    while s <= 2.0 * _S_CEILING:
-        step = (target - _phi_increment(s_lo, s)) * (E + _logaddexp1(s))
-        if not step > 0.0:
-            return s
-        s += step
+    targets = np.asarray(targets, dtype=np.float64)
+    total = np.cumsum(targets)
+    # the weights add up to 2 (1 + bias) in doubles, a factor every increment carries
+    bias = math.fsum([*_gl_rule()[1], -2.0]) / 2.0
+    s = np.where(total > 0.0, s0 + total * (E + _logaddexp1(s0)), s0)
+    live = np.ones(s.size, dtype=bool)
+    while True:
+        past = np.flatnonzero(s > 2.0 * _S_CEILING)
+        if past.size:
+            s, live = s[: past[0] + 1], live[: past[0]]
+        head = s[: live.size]
+        defects = targets[: live.size] - _phi_increments(np.append(s0, head)[:-1], head)
+        step = (np.cumsum(defects) + bias * total[: live.size]) * (E + np.logaddexp(1.0, head))
+        if not live.any():
+            return s, step
+        live &= step > 0.0
+        head[live] += step[live]
         # Newton's error after a step is at most about step**2 / (2 (e + 1))
-        if step * step <= math.ulp(s):
-            return s
-    return s
+        live &= step * step > np.spacing(np.abs(head))
 
 
 def psi_tail(m: Optional[float] = None, *, log_m: Optional[float] = None) -> float:
@@ -130,7 +160,7 @@ def psi_tail(m: Optional[float] = None, *, log_m: Optional[float] = None) -> flo
         log_m = math.log(m)
     elif not 0.0 <= log_m < math.inf:
         raise ValueError("log_m must be finite and >= 0")
-    value = _phi_increment(0.0, log_m)
+    value = float(_phi_increments(0.0, log_m)[0])
     floor = math.log(E + _logaddexp1(log_m)) - math.log(E + math.log(E + 1.0))
     if value < floor - 1e-9:
         raise AssertionError("tail quadrature fell below the comparison primitive")
@@ -296,37 +326,35 @@ def _rk4(problem: BoundProblem, dt: float, psi_mode: str) -> BoundSolution:
     return BoundSolution(problem, times, h, psi_mode, "rk4", step, overflowed)
 
 
+@np.errstate(over="ignore")  # an infinite row count or target is refused or flagged below
 def _exact_piecewise(problem: BoundProblem, dt: Optional[float], psi_mode: str) -> BoundSolution:
     knots = problem.b_times
-    values = problem.b_values
-    out_t = [float(knots[0])]
-    out_h = [problem.h0]
-    s_prev = math.log(problem.h0)
-    overflowed = False
-    for i in range(knots.size - 1):
-        width = float(knots[i + 1] - knots[i])
-        pieces = 1 if dt is None else max(1, int(math.ceil(width / dt - 1e-12)))
-        sub = width / pieces
-        for j in range(pieces):
-            target = problem.c * float(values[i]) * sub
-            if target == 0.0:
-                s_next, h_next = s_prev, out_h[-1]
-            elif psi_mode == "identity":
-                s_next = s_prev + target
-                h_next = out_h[-1] * math.exp(target)
-            else:
-                s_next = _phi_invert(s_prev, target)
-                h_next = math.inf if s_next > _S_CEILING else math.exp(s_next)
-            out_t.append(float(knots[i]) + sub * (j + 1))
-            out_h.append(h_next)
-            s_prev = s_next
-            if s_next > _S_CEILING:
-                overflowed = True
-                break
-        if overflowed:
-            break
-    h = np.asarray(out_h)
-    return BoundSolution(problem, np.asarray(out_t), h, psi_mode, "exact", dt, overflowed)
+    widths = np.diff(knots)
+    counts = np.ones(widths.size) if dt is None else np.maximum(1.0, np.ceil(widths / dt - 1e-12))
+    try:  # a dt fine enough asks for more rows than an array can index
+        with np.errstate(invalid="raise"):
+            piece = np.repeat(np.arange(widths.size), counts.astype(np.intp))
+    except (ArithmeticError, MemoryError, ValueError):
+        raise MemoryError(f"{1.0 + counts.sum():.17g} output rows do not fit in memory") from None
+    sub = (widths / counts)[piece]
+    nth = np.arange(1, piece.size + 1) - (np.cumsum(counts) - counts)[piece]
+    times = np.append(knots[0], knots[piece] + sub * nth)
+    targets = problem.c * problem.b_values[piece] * sub
+    s0 = math.log(problem.h0)
+    if psi_mode == "identity":
+        s, rest = s0 + np.cumsum(targets), np.zeros(targets.size)
+    else:
+        s, rest = _phi_solve(s0, targets)
+    past = np.flatnonzero(s > _S_CEILING)
+    rows = past[0] if past.size else s.size
+    # H = e^(s + rest), but rows before the first nonzero piece keep h0
+    # itself: exp(log 3.0) is not 3.0
+    h = np.exp(s[:rows])
+    h = np.where(np.cumsum(targets[:rows]) > 0.0, h + h * rest[:rows], problem.h0)
+    h = np.maximum.accumulate(np.append(problem.h0, h))
+    if past.size:
+        h = np.append(h, math.inf)
+    return BoundSolution(problem, times[: h.size], h, psi_mode, "exact", dt, bool(past.size))
 
 
 def solve_bound(
@@ -339,9 +367,10 @@ def solve_bound(
     """Integrate ``H' = C Psi(H) B(t)`` from ``H(t_start) = h0``.
 
     Sampled (piecewise-constant) B defaults to the exact method: on each
-    constant piece the ODE is autonomous and ``Phi(H_next) - Phi(H_prev) =
-    C b dt`` is solved for ``log H_next`` by Newton's method, so the only
-    error is rounding.  ``dt`` then just densifies the output grid.
+    constant piece the ODE is autonomous, so ``Phi(H_i) = C int_0^{t_i} B``
+    at every output time, solved for all ``log H_i`` at once by Newton's
+    method; the only error is rounding.  ``dt`` then just densifies the
+    output grid, and pieces of zero B carry H over unchanged.
     Callable B defaults to classic RK4 with fixed step ``dt`` (required).
     ``psi_mode='identity'`` replaces Psi by r (debug mode; the solution is
     ``h0 exp(C int B)``).
@@ -371,21 +400,17 @@ def implicit_check(solution: BoundSolution) -> np.ndarray:
     Entries where H has overflowed are NaN.
     """
     problem = solution.problem
-    b_cum = problem.b_cumulative(solution.times)
-    deviations = np.empty(solution.times.size)
-    phi_acc = 0.0
-    s_prev = math.log(problem.h0)
-    for i, h in enumerate(solution.h):
-        if not math.isfinite(h):
-            deviations[i:] = math.nan
-            break
-        s = math.log(h)
-        if solution.psi_mode == "identity":
-            phi_acc += s - s_prev
-        else:
-            phi_acc += _phi_increment(s_prev, s)
-        s_prev = s
-        deviations[i] = phi_acc - problem.c * b_cum[i]
+    finite = np.isfinite(solution.h)
+    rows = solution.h.size if finite.all() else int(np.argmin(finite))
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    s = np.array([math.log(h) for h in solution.h[:rows].tolist()])
+    s_prev = np.append(math.log(problem.h0), s)[:-1]
+    if solution.psi_mode == "identity":
+        phi = np.cumsum(s - s_prev)
+    else:
+        phi = np.cumsum(_phi_increments(s_prev, s))
+    deviations = np.full(solution.times.size, math.nan)
+    deviations[:rows] = phi - problem.c * problem.b_cumulative(solution.times[:rows])
     return deviations
 
 
@@ -395,10 +420,11 @@ def bound_root(problem: BoundProblem) -> float:
     Solves ``Phi(H) = C int B`` for H by Newton's method; an oracle for the
     time steppers.  Raises on overflow past the H ceiling.
     """
-    s = _phi_invert(math.log(problem.h0), problem.c * problem.b_integral)
-    if s > _S_CEILING:
+    s, rest = _phi_solve(math.log(problem.h0), [problem.c * problem.b_integral])
+    if s[0] > _S_CEILING:
         raise OverflowError("implicit root exceeds the H ceiling")
-    return math.exp(s)
+    h = math.exp(s[0])
+    return h + h * float(rest[0])
 
 
 def read_signal_csv(path) -> Tuple[np.ndarray, np.ndarray]:

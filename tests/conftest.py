@@ -6,16 +6,21 @@ numpy-FFT oracles in the test modules import it from here.
 ``masked_step`` is the solver's RK4 step on the whole half spectrum, the
 oracle for the step on the kept block.  ``batched_product_modes`` is
 the six quadratic products transformed as one stack, the oracle for the
-solver's one-product-at-a-time transforms.  ``sample_scalar``,
+solver's one-product-at-a-time transforms.  ``scalar_phi_increment``
+and ``scalar_implicit_check`` are the scalar Gauss-Legendre rule and the
+row-by-row identity check that ``wlns.gronwall``'s array kernel must match
+bit for bit.  ``sample_scalar``,
 ``sample_vector``, ``hermitian_defect`` and ``gaussian_bump`` build test
 fields, check spectra and localize energy balances.
 """
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField, _forward
+from wlns.gronwall import _logaddexp1
 from wlns.nse_solver import _PAIRS, CutoffFunction, _min_image, leray_project, nonlinear_term
 
 
@@ -69,6 +74,50 @@ def batched_product_modes(u: np.ndarray, block, weight: np.ndarray | None = None
             if weight is not None:
                 products[idx] *= weight
     return block.gather(_forward(products))
+
+
+def scalar_phi_increment(s_lo: float, s_hi: float) -> float:
+    """``int_{s_lo}^{s_hi} ds / (e + logaddexp(1, s))``, one span at a time.
+
+    Composite 12-point Gauss-Legendre on equal panels at most 2 long, each
+    panel a plain ``sum`` over the nodes and the panels added by
+    ``math.fsum``.
+    """
+    nodes, weights = (a.tolist() for a in np.polynomial.legendre.leggauss(12))
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * sum(
+            w * (1.0 / (math.e + _logaddexp1(mid + half * x))) for x, w in zip(nodes, weights)
+        )
+
+    panels = math.ceil(abs(s_hi - s_lo) / 2.0)
+    if panels <= 1:
+        return panel(s_lo, s_hi)
+    width = (s_hi - s_lo) / panels
+    edges = [s_lo + k * width for k in range(panels)] + [s_hi]
+    return math.fsum(panel(a, b) for a, b in zip(edges, edges[1:]))
+
+
+def scalar_implicit_check(solution) -> np.ndarray:
+    """``Phi(H(t)) - C int B`` accumulated row by row; NaN from the first non-finite H."""
+    problem = solution.problem
+    b_cum = problem.b_cumulative(solution.times)
+    deviations = np.empty(solution.times.size)
+    phi_acc = 0.0
+    s_prev = math.log(problem.h0)
+    for i, h in enumerate(solution.h):
+        if not math.isfinite(h):
+            deviations[i:] = math.nan
+            break
+        s = math.log(h)
+        if solution.psi_mode == "identity":
+            phi_acc += s - s_prev
+        else:
+            phi_acc += scalar_phi_increment(s_prev, s)
+        s_prev = s
+        deviations[i] = phi_acc - problem.c * b_cum[i]
+    return deviations
 
 
 def sample_scalar(grid: Grid, func: Callable) -> ScalarField:

@@ -12,7 +12,13 @@ from ``wlns``:
 - ``claim1``: the damped criterion integral of the closed-form norms over
   dyadic interval n of the q = 6 schedule (t_inf = 1), for n = 1..40 and
   400, in the rescaled form ``int_0^1 dv / (w (e + log(e + y)))`` with
-  ``w = 1 - 2^{-p m_n} v`` and ``y = 2^{m_n} (2^n / w)^{1/2}``.
+  ``w = 1 - 2^{-p m_n} v`` and ``y = 2^{m_n} (2^n / w)^{1/2}``;
+- ``chains``: the exact Gronwall bound H of ``H' = Psi(H) B``, H(0) = 1,
+  at every 100th row of two seeded 2001-row signals on [0, 1] (B uniform
+  on [0, 2] and lognormal), from the exact prefix sums of the float pieces
+  ``B_i (t_{i+1} - t_i)``: ``Phi(0, log H) = prefix``.  Each row is
+  ``[kind, seed, row, prefix, H]``; ``chain_signal`` is the recipe the
+  tests rebuild the signals with.
 
 Run from the repository root:
 
@@ -30,6 +36,7 @@ import sys
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 
 OUT = Path(__file__).with_name("phi_reference.json")
 DPS = 40
@@ -68,6 +75,10 @@ CHAIN_TARGETS = [
 
 TAIL_LOG_M = [1.0, 10.0, math.exp(10.0)]
 
+CHAIN_SIGNALS = [("uniform", 1), ("lognormal", 2)]
+CHAIN_ROWS = 2001
+CHAIN_STRIDE = 100
+
 CLAIM1_Q = 6.0
 CLAIM1_NS = list(range(1, 41)) + [400]
 
@@ -96,6 +107,25 @@ def invert(s_lo, target):
         if abs(step) < mp.mpf(10) ** (-DPS + 5) * max(1, abs(s)):
             return s
     raise RuntimeError(f"no convergence from {s_lo} at target {target}")
+
+
+def chain_signal(kind, seed):
+    """The (t, B) rows of a chain signal, a float64 array each."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, CHAIN_ROWS)
+    if kind == "uniform":
+        return t, rng.uniform(0.0, 2.0, CHAIN_ROWS)
+    return t, rng.lognormal(0.0, 1.0, CHAIN_ROWS)
+
+
+def chain_rows(kind, seed):
+    t, b = chain_signal(kind, seed)
+    pieces = (b[:-1] * np.diff(t)).tolist()
+    rows = []
+    for row in range(0, CHAIN_ROWS, CHAIN_STRIDE):
+        prefix = mp.fsum(mp.mpf(p) for p in pieces[:row])
+        rows.append([kind, seed, row, text(prefix), text(mp.exp(invert(0.0, prefix)))])
+    return rows
 
 
 def claim1_integral(q, n):
@@ -127,6 +157,7 @@ def build() -> str:
         "inversions": chain,
         "psi_tail": [[log_m, text(phi(0.0, log_m))] for log_m in TAIL_LOG_M],
         "claim1": [[CLAIM1_Q, n, text(claim1_integral(CLAIM1_Q, n))] for n in CLAIM1_NS],
+        "chains": [row for kind, seed in CHAIN_SIGNALS for row in chain_rows(kind, seed)],
     }
     # one row per line: [inputs..., "reference"]
     blocks = (

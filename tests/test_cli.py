@@ -525,6 +525,15 @@ class TestGronwall:
         assert capsys.readouterr().err == f"error: {flag} must be finite, got inf\n"
         assert not out.exists()
 
+    def test_tiny_dt_halts_before_output(self, tmp_path, capsys):
+        b = tmp_path / "b.csv"
+        b.write_text("t,B\n0.0,1.0\n1.0,0.0\n")
+        out = tmp_path / "gw"
+        assert main(["gronwall", str(b), "--dt", "1e-15", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --dt 1e-15: 1000000000000001 output rows do not fit in memory\n"
+        assert not out.exists()
+
     def test_infinite_dt_writes_one_piece_per_sample(self, tmp_path):
         b = tmp_path / "b.csv"
         b.write_text("t,B\n0.0,1.0\n0.5,2.0\n1.0,0.0\n")

@@ -7,17 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import scalar_implicit_check, scalar_phi_increment
 
 import wlns.counterexample
-import wlns.gronwall
 from wlns.counterexample import DyadicSchedule, claim1_terms
 from wlns.gronwall import (
     _S_CEILING,
     BoundProblem,
-    _damping_log,
     _logaddexp1,
-    _phi_increment,
-    _phi_invert,
+    _phi_increments,
+    _phi_solve,
     bound_root,
     implicit_check,
     psi,
@@ -30,6 +29,19 @@ from wlns.gronwall import (
 E = math.e
 #: 40-digit mpmath references, written by tests/data/make_phi_reference.py
 REFERENCE = json.loads((Path(__file__).parent / "data" / "phi_reference.json").read_text())
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def chain_signal(kind, seed):
+    """The seeded chain signals of tests/data/make_phi_reference.py."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, 2001)
+    if kind == "uniform":
+        return t, rng.uniform(0.0, 2.0, 2001)
+    return t, rng.lognormal(0.0, 1.0, 2001)
 
 
 class TestPsi:
@@ -62,6 +74,10 @@ class TestPsi:
         assert value >= 10.0 - math.log(2.0 * E + 1.0)
         assert value == pytest.approx(8.88921365631497, rel=1e-10)
 
+    def test_tail_stays_a_python_float(self):
+        for value in (psi_tail(3.0), psi_tail(log_m=math.exp(10.0))):
+            assert type(value) is float
+
     def test_tail_argument_validation(self):
         with pytest.raises(ValueError):
             psi_tail()
@@ -77,16 +93,17 @@ class TestPsi:
 
 
 class TestPhiPrimitives:
-    """The Gauss-Legendre increment and its Newton inverse."""
+    """The Gauss-Legendre increments and their Newton inverse."""
 
     def test_increments_and_inversions_match_reference(self):
         # the inversions are exact to rounding; brentq's xtol of 1e-13
         # left errors up to 2.3e-14 in this chain
-        for s_lo, s_hi, ref in REFERENCE["increments"]:
-            assert _phi_increment(s_lo, s_hi) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+        lo, hi, refs = zip(*REFERENCE["increments"])
+        for got, ref in zip(_phi_increments(lo, hi), refs):
+            assert got == pytest.approx(float(ref), rel=1e-15, abs=0.0)
         for s_lo, target, ref in REFERENCE["inversions"]:
             root = float(ref)
-            assert abs(_phi_invert(s_lo, target) - root) <= 1e-15 * max(1.0, abs(root))
+            assert abs(_phi_solve(s_lo, [target])[0][0] - root) <= 1e-15 * max(1.0, abs(root))
 
     def test_tail_matches_reference(self):
         for log_m, ref in REFERENCE["psi_tail"]:
@@ -97,31 +114,75 @@ class TestPhiPrimitives:
         for _ in range(200):
             a = rng.uniform(-50.0, 700.0)
             b, c = a + np.sort(10.0 ** rng.uniform(-9.0, 2.0, 2))
-            whole = _phi_increment(a, c)
-            parts = _phi_increment(a, b) + _phi_increment(b, c)
-            assert abs(parts - whole) <= 4.0 * math.ulp(whole)
+            whole, left, right = _phi_increments([a, a, b], [c, b, c])
+            assert abs(left + right - whole) <= 4.0 * math.ulp(whole)
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
             s, target = rng.uniform(-50.0, 700.0), 10.0 ** rng.uniform(-12.0, math.log10(50.0))
-            root = _phi_invert(s, target)
+            root = _phi_solve(s, [target])[0][0]
             if root > 2.0 * _S_CEILING:
                 # the inverse stops past twice the ceiling, short of the root
-                assert _phi_increment(s, 2.0 * _S_CEILING) < target
+                assert _phi_increments(s, 2.0 * _S_CEILING)[0] < target
                 continue
             # a few ulp of the target, plus what one ulp of the root is worth
-            slack = 4.0 * math.ulp(target) + math.ulp(root) * _damping_log(s)
-            assert abs(_phi_increment(s, root) - target) <= slack
+            slack = 4.0 * math.ulp(target) + math.ulp(root) / (E + _logaddexp1(s))
+            assert abs(_phi_increments(s, root)[0] - target) <= slack
 
     def test_root_past_the_ceiling_is_returned(self):
-        target = _phi_increment(0.0, _S_CEILING + 5.0)
-        assert _phi_invert(0.0, target) == pytest.approx(_S_CEILING + 5.0, rel=1e-14)
-        assert _phi_invert(0.0, 2.0 * target) > 2.0 * _S_CEILING
+        target = _phi_increments(0.0, _S_CEILING + 5.0)[0]
+        assert _phi_solve(0.0, [target])[0][0] == pytest.approx(_S_CEILING + 5.0, rel=1e-14)
+        assert _phi_solve(0.0, [2.0 * target])[0][0] > 2.0 * _S_CEILING
+        # every later root lies past it too, so the solve ends there
+        assert _phi_solve(0.0, [2.0 * target, 1.0, 1.0])[0].size == 1
 
     def test_zero_target_returns_start(self):
         for s in (-50.0, -0.0, 0.0, 1.0, 700.0):
-            assert struct.pack("d", _phi_invert(s, 0.0)) == struct.pack("d", s)
+            root, rest = _phi_solve(s, [0.0, 0.0, 0.0])
+            assert bits(root) == bits([s, s, s]) and not rest.any()
+
+
+class TestPhiKernel:
+    """``_phi_increments`` and ``implicit_check`` against the scalar rule, bit for bit."""
+
+    def test_increments_match_scalar_rule(self):
+        rng = np.random.default_rng(20091217)
+        lo = np.concatenate([rng.uniform(-50.0, 700.0, 400), rng.uniform(-5.0, 5.0, 200)])
+        short = lo[:300] + 10.0 ** rng.uniform(-12.0, 0.2, 300)
+        long = lo[300:400] + rng.uniform(2.0, 60.0, 100)
+        backwards = lo[400:] - rng.uniform(0.0, 9.0, 200)
+        # then a zero-length span, one panel exactly 2 long and the 11,014 panels of psi_tail
+        lo = np.concatenate([lo, [3.5, 0.0, 0.0]])
+        hi = np.concatenate([short, long, backwards, [3.5, 2.0, math.exp(10.0)]])
+        want = [scalar_phi_increment(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert np.sum(np.ceil(np.abs(hi - lo) / 2.0) > 1) >= 200
+        assert bits(_phi_increments(lo, hi)) == bits(want)
+        assert psi_tail(log_m=math.exp(10.0)) == want[-1]
+
+    @staticmethod
+    def _solutions():
+        t, b = chain_signal("uniform", 7)
+        sampled = BoundProblem.from_samples(t[:301], b[:301], c=1.3, h0=0.5)
+        smooth = BoundProblem.from_function(lambda x: 1.0 + math.sin(3.0 * x), 0.0, 1.0, 1.0, 1.0)
+        blowup = BoundProblem.from_function(lambda x: 1.0, 0.0, 1.0, c=10.0, h0=1.0)
+        overflow = BoundProblem.from_samples([0.0, 0.5, 1.0, 2.0], [2.0, 10.0, 1.0, 0.0], 1.0, 1.0)
+        return [
+            solve_bound(sampled),
+            solve_bound(sampled, dt=1e-3),
+            solve_bound(sampled, psi_mode="identity"),
+            solve_bound(smooth, 1e-2),
+            solve_bound(blowup, 1e-2),
+            solve_bound(overflow, dt=0.05),
+        ]
+
+    def test_implicit_check_matches_scalar_loop(self):
+        solutions = self._solutions()
+        assert [sol.overflowed for sol in solutions] == [False] * 4 + [True] * 2
+        for sol in solutions:
+            assert bits(implicit_check(sol)) == bits(scalar_implicit_check(sol))
+        tail = implicit_check(solutions[4])
+        assert np.isnan(tail[-1]) and np.isfinite(tail[0])
 
 
 class TestLogaddexp1:
@@ -145,23 +206,14 @@ class TestLogaddexp1:
                 expected = float(np.logaddexp(1.0, x))
                 assert struct.pack("d", _logaddexp1(x)) == struct.pack("d", expected), x
 
-    def test_damping_log_stays_a_python_float(self):
-        for s in (-50.0, 0.0, 1.0, 3.5, 700.0):
-            assert type(_damping_log(s)) is float
-
 
 class TestScalarIntegrandCallers:
-    """Every caller of the math integrand gives numpy's scalar results exactly."""
+    """The counterexample's math integrand gives numpy's scalar results exactly."""
 
     @staticmethod
     def _outputs():
         report = claim1_terms(DyadicSchedule(q=6.0), 40)
-        rng = np.random.default_rng(257)
-        prob = BoundProblem.from_samples(
-            np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 2.0, 257), c=1.0, h0=1.0
-        )
-        sol = solve_bound(prob)
-        return report.terms, report.integrals, sol.h, implicit_check(sol)
+        return report.terms, report.integrals
 
     def test_outputs_match_numpy_logaddexp(self, monkeypatch):
         fast = self._outputs()
@@ -171,10 +223,9 @@ class TestScalarIntegrandCallers:
             calls.append(s)
             return float(np.logaddexp(1.0, s))
 
-        for module in (wlns.gronwall, wlns.counterexample):
-            monkeypatch.setattr(module, "_logaddexp1", numpy_logaddexp1)
+        monkeypatch.setattr(wlns.counterexample, "_logaddexp1", numpy_logaddexp1)
         reference = self._outputs()
-        assert calls
+        assert len(calls) >= 40 * 12
         for got, want in zip(fast, reference):
             assert np.array_equal(got, want)
 
@@ -222,6 +273,33 @@ class TestSolveBound:
             sol = solve_bound(prob, 0.1, method=method)
             np.testing.assert_array_equal(sol.h, np.full(sol.times.size, 3.0))
             assert np.all(implicit_check(sol) == 0.0)
+
+    @pytest.mark.parametrize("dt", [None, 0.013])
+    def test_zero_runs_carry_h_bit_for_bit(self, dt):
+        b = [0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 2.0, 0.0, 0.7, 0.0, 0.0]
+        prob = BoundProblem.from_samples(np.linspace(0.0, 1.0, 11), b, c=1.0, h0=3.0)
+        sol = solve_bound(prob, dt)
+        assert sol.times.size == (11 if dt is None else 81)
+        assert np.all(np.diff(sol.h) >= 0.0)
+        zero = np.array([prob.b_at(t) == 0.0 for t in sol.times[:-1].tolist()])
+        assert zero.sum() >= 5
+        assert bits(sol.h[1:][zero]) == bits(sol.h[:-1][zero])
+        assert np.all(sol.h[: np.argmax(~zero) + 1] == 3.0)
+        assert np.all(np.diff(sol.h)[~zero] > 0.0)
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    @pytest.mark.parametrize("h0", [3.0, 8.151375368082697, 9.187270444142762])
+    def test_near_zero_pieces_keep_h_nondecreasing(self, tiny, h0):
+        # exp(log h0) lands above h0 for 3.0 and 9.187..., below it for 8.151...
+        b = [tiny, tiny, 1.0, tiny, tiny, 0.5, tiny, 0.0]
+        prob = BoundProblem.from_samples(np.linspace(0.0, 1.0, 8), b, c=1.0, h0=h0)
+        for dt in (None, 0.05):
+            sol = solve_bound(prob, dt)
+            assert sol.h[0] == h0 and np.all(np.isfinite(sol.h))
+            assert np.all(np.diff(sol.h) >= 0.0)
+            tiny_rows = np.array([prob.b_at(t) < 1e-200 for t in sol.times[:-1].tolist()])
+            assert np.all(np.diff(sol.h)[tiny_rows] <= np.spacing(sol.h[:-1][tiny_rows]))
+            assert sol.h[-1] == pytest.approx(bound_root(prob), rel=1e-14)
 
     def test_identity_mode_matches_exponential(self):
         prob = BoundProblem.from_function(
@@ -295,6 +373,22 @@ class TestSolveBound:
         prob = BoundProblem.from_function(lambda t: 1.0, 0.0, 1.0, c=1.0, h0=1.0)
         with pytest.raises(ValueError, match="rk4 needs dt > 0"):
             solve_bound(prob, math.nan)
+
+
+class TestChainOracle:
+    """The exact solve against 40-digit H on two benchmark-shaped signals."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+    def test_h_matches_reference(self, kind):
+        rows = [row for row in REFERENCE["chains"] if row[0] == kind]
+        t, b = chain_signal(kind, rows[0][1])
+        pieces = (b[:-1] * np.diff(t)).tolist()
+        h = solve_bound(BoundProblem.from_samples(t, b, c=1.0, h0=1.0)).h
+        assert len(rows) == 21
+        for _, _, row, prefix, ref in rows:
+            # the rebuilt signal is the one the references were computed from
+            assert math.fsum(pieces[:row]) == pytest.approx(float(prefix), rel=1e-15, abs=0.0)
+            assert abs(h[row] - float(ref)) <= 1e-15 * float(ref)
 
 
 class TestImplicitCheck:
