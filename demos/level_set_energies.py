@@ -22,7 +22,6 @@ from wlns import (
     CylinderScheme,
     Grid,
     SolverConfig,
-    fit_beta,
     level_energy,
     recursive_sequence,
     run,
@@ -47,11 +46,9 @@ def main(out_dir="."):
             f"{table.diss_term[i]:>12.3e} {table.total[i]:>12.3e}"
         )
 
-    fit = fit_beta(table.total)
-    if fit.trivially_regular:
-        print("\nU_k reaches exact zero: trivially regular, nothing to fit.")
-    else:
-        print(f"\nfitted superlinear exponent beta = {fit.beta_hat:.3f} (r^2 = {fit.r_squared:.4f})")
+    zero = np.flatnonzero(table.total == 0.0)
+    if zero.size:
+        print(f"\nU_k is exactly zero from k = {zero[0]}: trivially regular.")
 
     print("\nabstract recursion W_(k+1) = C^k W_k^beta at (C, beta) = (2, 2):")
     for w0 in (0.0625, 0.5, 0.75):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +31,9 @@ from wlns.field import (
 from wlns.nse_solver import (
     CutoffFunction,
     SimulationResult,
-    _balance_terms,
-    _rate_residual,
-    _snapshot_step,
     constant_one,
     cylinder_cutoff,
+    energy_residual,
 )
 
 
@@ -179,7 +176,8 @@ MIN_WINDOW_SAMPLES = 10
 
 def window_times(times, scheme: CylinderScheme, cmap: CylinderMap) -> np.ndarray:
     """Reference times of the snapshots; raises ``ValueError`` unless they reach
-    the mapped cylinder's end with ``MIN_WINDOW_SAMPLES`` in every window."""
+    the mapped cylinder's end with ``MIN_WINDOW_SAMPLES`` in every window and
+    never decrease (repeated times are allowed)."""
     tau = np.array([cmap.reference_time(t) for t in times])
     if tau.max() < 1.0 - 1e-9:
         raise ValueError("trajectory ends before the mapped cylinder does")
@@ -191,6 +189,8 @@ def window_times(times, scheme: CylinderScheme, cmap: CylinderMap) -> np.ndarray
                 f"window (T_{k}, 1] holds {count} snapshots; need >= {MIN_WINDOW_SAMPLES} "
                 f"(reference cadence <= {(1.0 - t_k) / (MIN_WINDOW_SAMPLES - 1):.3g})"
             )
+    if np.any(np.diff(tau) < 0.0):
+        raise ValueError("snapshot times decrease")
     return tau
 
 
@@ -442,12 +442,12 @@ def energy_budget(
     - [kinetic(t) - kinetic(t_0)]/2``, which is nonnegative up to
     discretization for smooth solutions; the rate residual is its
     derivative counterpart on interior snapshots, of 4th order from five
-    snapshots on and 2nd order below.  The centred differences need
-    uniformly spaced snapshots; a run whose ``t_end`` is not a multiple of
-    the snapshot cadence ends on a shorter gap and raises ``ValueError``.
-    Both series come from the same balance terms as
-    :func:`wlns.nse_solver.energy_residual`, with ``kinetic`` twice its
-    ``quadratic``.
+    snapshots on and 2nd order below.  The budget extends
+    :func:`wlns.nse_solver.energy_residual`: its terms, residual times and
+    rate residual are that report's, with ``kinetic`` twice its
+    ``quadratic``, so it needs at least 3 uniformly spaced snapshots.  A run
+    whose ``t_end`` is not a multiple of the snapshot cadence ends on a
+    shorter gap and raises ``ValueError``.
     """
     if eta is None:
         eta = constant_one()
@@ -455,11 +455,8 @@ def energy_budget(
         _validate_support(result, eta, cmap)
 
     times = np.asarray(result.times)
-    if len(times) < 3:
-        raise ValueError("budget needs at least 3 snapshots")
-    h = _snapshot_step(times)
-    terms = _balance_terms(result, eta)
-    residual_times, rate = _rate_residual(times, h, terms, 4 if len(times) >= 5 else 2)
+    residual = energy_residual(result, eta, 4 if len(times) >= 5 else 2)
+    terms = residual.terms
     kinetic = 2.0 * terms["quadratic"]
     transport, flux, dissipation = terms["transport"], terms["flux"], terms["dissipation"]
     gain = _cumulative_trapezoid(transport + flux - dissipation, times)
@@ -470,69 +467,6 @@ def energy_budget(
         transport=transport,
         flux=flux,
         slack=gain - 0.5 * (kinetic - kinetic[0]),
-        residual_times=residual_times,
-        rate_residual=rate,
-    )
-
-
-# ---------------------------------------------------------------------------
-# empirical recursion fit
-
-
-@dataclass(frozen=True)
-class BetaFit:
-    trivially_regular: bool
-    beta_hat: float | None
-    c_hat: float | None
-    r_squared: float | None
-    n_pairs: int
-
-
-def fit_beta(series: Sequence[np.ndarray] | np.ndarray) -> BetaFit:
-    """Regress ``log U_k = k log C + beta log U_{k-1}`` across runs.
-
-    Exploratory only: the constants of the underlying proposition are not
-    constructive, so the fit is reported, never asserted against theory.
-    Series that reach exact zero have already truncated to regularity and
-    produce no fit; a short all-positive series is a usage error instead.
-    """
-    if isinstance(series, np.ndarray):
-        series = [series]
-    rows, targets = [], []
-    any_zero = False
-    for u in series:
-        u = np.asarray(u, dtype=np.float64)
-        if np.any(u < 0):
-            raise ValueError("level energies must be nonnegative")
-        any_zero = any_zero or bool(np.any(u == 0.0))
-        for k in range(1, len(u)):
-            if u[k] > 0.0 and u[k - 1] > 0.0:
-                rows.append((float(k), math.log(u[k - 1])))
-                targets.append(math.log(u[k]))
-    if len(rows) < 5:
-        if any_zero:
-            return BetaFit(
-                trivially_regular=True,
-                beta_hat=None,
-                c_hat=None,
-                r_squared=None,
-                n_pairs=0,
-            )
-        raise ValueError(
-            f"need at least 5 consecutive positive levels, found {len(rows)} usable pairs"
-        )
-    design = np.array(rows)
-    target = np.array(targets)
-    coeffs, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    log_c, beta_hat = float(coeffs[0]), float(coeffs[1])
-    predicted = design @ coeffs
-    ss_res = float(np.sum((target - predicted) ** 2))
-    ss_tot = float(np.sum((target - np.mean(target)) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return BetaFit(
-        trivially_regular=False,
-        beta_hat=beta_hat,
-        c_hat=math.exp(log_c),
-        r_squared=r_squared,
-        n_pairs=len(rows),
+        residual_times=residual.times,
+        rate_residual=residual.residual,
     )

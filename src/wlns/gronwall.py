@@ -275,7 +275,6 @@ class BoundSolution:
     problem: BoundProblem
     times: np.ndarray
     h: np.ndarray
-    psi_mode: str
     method: str
     dt: Optional[float]
     overflowed: bool = False
@@ -290,16 +289,7 @@ class BoundSolution:
         )
 
 
-def _psi_for(mode: str) -> Callable[[float], float]:
-    if mode == "log":
-        return psi
-    if mode == "identity":
-        return lambda r: r
-    raise ValueError("psi_mode must be 'log' or 'identity'")
-
-
-def _rk4(problem: BoundProblem, dt: float, psi_mode: str) -> BoundSolution:
-    psi_fn = _psi_for(psi_mode)
+def _rk4(problem: BoundProblem, dt: float) -> BoundSolution:
     span = problem.t_end - problem.t_start
     n = max(1, int(math.ceil(span / dt - 1e-12)))
     step = span / n
@@ -309,7 +299,7 @@ def _rk4(problem: BoundProblem, dt: float, psi_mode: str) -> BoundSolution:
     overflowed = False
 
     def rate(t, y):
-        return problem.c * psi_fn(y) * problem.b_at(t)
+        return problem.c * psi(y) * problem.b_at(t)
 
     for i in range(n):
         t, y = times[i], h[i]
@@ -323,11 +313,11 @@ def _rk4(problem: BoundProblem, dt: float, psi_mode: str) -> BoundSolution:
             overflowed = True
             break
         h[i + 1] = y_next
-    return BoundSolution(problem, times, h, psi_mode, "rk4", step, overflowed)
+    return BoundSolution(problem, times, h, "rk4", step, overflowed)
 
 
 @np.errstate(over="ignore")  # an infinite row count or target is refused or flagged below
-def _exact_piecewise(problem: BoundProblem, dt: Optional[float], psi_mode: str) -> BoundSolution:
+def _exact_piecewise(problem: BoundProblem, dt: Optional[float]) -> BoundSolution:
     knots = problem.b_times
     widths = np.diff(knots)
     counts = np.ones(widths.size) if dt is None else np.maximum(1.0, np.ceil(widths / dt - 1e-12))
@@ -340,11 +330,7 @@ def _exact_piecewise(problem: BoundProblem, dt: Optional[float], psi_mode: str) 
     nth = np.arange(1, piece.size + 1) - (np.cumsum(counts) - counts)[piece]
     times = np.append(knots[0], knots[piece] + sub * nth)
     targets = problem.c * problem.b_values[piece] * sub
-    s0 = math.log(problem.h0)
-    if psi_mode == "identity":
-        s, rest = s0 + np.cumsum(targets), np.zeros(targets.size)
-    else:
-        s, rest = _phi_solve(s0, targets)
+    s, rest = _phi_solve(math.log(problem.h0), targets)
     past = np.flatnonzero(s > _S_CEILING)
     rows = past[0] if past.size else s.size
     # H = e^(s + rest), but rows before the first nonzero piece keep h0
@@ -354,14 +340,13 @@ def _exact_piecewise(problem: BoundProblem, dt: Optional[float], psi_mode: str) 
     h = np.maximum.accumulate(np.append(problem.h0, h))
     if past.size:
         h = np.append(h, math.inf)
-    return BoundSolution(problem, times[: h.size], h, psi_mode, "exact", dt, bool(past.size))
+    return BoundSolution(problem, times[: h.size], h, "exact", dt, bool(past.size))
 
 
 def solve_bound(
     problem: BoundProblem,
     dt: Optional[float] = None,
     *,
-    psi_mode: str = "log",
     method: Optional[str] = None,
 ) -> BoundSolution:
     """Integrate ``H' = C Psi(H) B(t)`` from ``H(t_start) = h0``.
@@ -372,10 +357,7 @@ def solve_bound(
     method; the only error is rounding.  ``dt`` then just densifies the
     output grid, and pieces of zero B carry H over unchanged.
     Callable B defaults to classic RK4 with fixed step ``dt`` (required).
-    ``psi_mode='identity'`` replaces Psi by r (debug mode; the solution is
-    ``h0 exp(C int B)``).
     """
-    _psi_for(psi_mode)
     if method is None:
         method = "rk4" if problem.b_func is not None else "exact"
     if method == "exact":
@@ -383,11 +365,11 @@ def solve_bound(
             raise ValueError("exact method needs a sampled (piecewise-constant) B")
         if dt is not None and not dt > 0:
             raise ValueError(f"dt must be > 0, got {dt!r}")
-        return _exact_piecewise(problem, dt, psi_mode)
+        return _exact_piecewise(problem, dt)
     if method == "rk4":
         if dt is None or not dt > 0:
             raise ValueError("rk4 needs dt > 0")
-        return _rk4(problem, dt, psi_mode)
+        return _rk4(problem, dt)
     raise ValueError("method must be 'exact' or 'rk4'")
 
 
@@ -405,10 +387,7 @@ def implicit_check(solution: BoundSolution) -> np.ndarray:
     # math.log, not np.log: the two differ in the last bit on some inputs
     s = np.array([math.log(h) for h in solution.h[:rows].tolist()])
     s_prev = np.append(math.log(problem.h0), s)[:-1]
-    if solution.psi_mode == "identity":
-        phi = np.cumsum(s - s_prev)
-    else:
-        phi = np.cumsum(_phi_increments(s_prev, s))
+    phi = np.cumsum(_phi_increments(s_prev, s))
     deviations = np.full(solution.times.size, math.nan)
     deviations[:rows] = phi - problem.c * problem.b_cumulative(solution.times[:rows])
     return deviations

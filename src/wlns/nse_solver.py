@@ -65,19 +65,21 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.viscosity > 0 and np.isfinite(self.viscosity)):
             raise ValueError("viscosity must be positive")
-        if not (self.dt > 0 and self.t_end > 0):
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if not 0 < self.dealias_fraction <= 1:
             raise ValueError("dealias fraction must lie in (0, 1]")
+        self.n_steps  # a bad step count fails here, before any run starts
 
-    @property
+    @cached_property
     def n_steps(self) -> int:
-        steps = round(self.t_end / self.dt)
-        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be an integer number of steps")
-        return int(steps)
+        ratio = self.t_end / self.dt
+        steps = round(ratio) if ratio < math.inf else 0
+        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError("t_end must be a positive integer number of steps")
+        return steps
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,7 @@ def scalar_implicit_check(solution) -> np.ndarray:
             deviations[i:] = math.nan
             break
         s = math.log(h)
-        if solution.psi_mode == "identity":
-            phi_acc += s - s_prev
-        else:
-            phi_acc += scalar_phi_increment(s_prev, s)
+        phi_acc += scalar_phi_increment(s_prev, s)
         s_prev = s
         deviations[i] = phi_acc - problem.c * b_cum[i]
     return deviations

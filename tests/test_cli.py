@@ -216,6 +216,18 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "steps",
+        ["dt = 0.03\nt_end = 0.1", "t_end = inf", "dt = 1.0\nt_end = 1e-10"],
+        ids=["not-a-multiple", "infinite", "zero-steps"],
+    )
+    def test_bad_step_count_rejected_before_output(self, tmp_path, capsys, steps):
+        cfg = write_config(tmp_path, f"[solver]\nn = 8\n{steps}\n")
+        out = tmp_path / "x"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "t_end" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_recomputes_identical_trace(self, taylor_green_run, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from conftest import gaussian_bump, reference_symbols
 
 from wlns.degiorgi import (
-    BetaFit,
     CylinderMap,
     CylinderScheme,
     LevelSetEnergy,
@@ -16,7 +15,6 @@ from wlns.degiorgi import (
     cylinder_radius,
     dissipation_density,
     energy_budget,
-    fit_beta,
     level_energy,
     recursive_sequence,
     threshold_scan,
@@ -271,6 +269,18 @@ class TestLevelEnergy:
             window_times(times[::-3], CylinderScheme(1), cmap)
         with pytest.raises(ValueError, match="ends before"):
             window_times(times[:-2], CylinderScheme(1), cmap)
+
+    def test_decreasing_times_rejected(self, budget_run_16):
+        cmap = CylinderMap(center=(math.pi,) * 3, scale=0.3, t_end=0.25)
+        times = budget_run_16.times
+        repeated = np.concatenate([times[:10], times[9:]])
+        np.testing.assert_array_equal(
+            window_times(repeated, CylinderScheme(1), cmap),
+            [cmap.reference_time(t) for t in repeated],
+        )
+        backwards = Trajectory(budget_run_16.grid, times[::-1], budget_run_16.snapshots)
+        with pytest.raises(ValueError, match="times decrease"):
+            level_energy(backwards, CylinderScheme(1), cmap)
 
     def test_trajectory_must_cover_window(self):
         grid = Grid(12, length=10.0)
@@ -575,52 +585,3 @@ class TestThresholdScan:
         with pytest.raises(ValueError):
             critical_w0_closed_form(2.0, 1.0)
 
-
-class TestFitBeta:
-    @staticmethod
-    def exact_series(u0: float, length: int = 8) -> np.ndarray:
-        u = [u0]
-        for k in range(1, length):
-            u.append(2.0**k * u[-1] ** 2)
-        return np.array(u)
-
-    def test_exact_doubling_series(self):
-        fit = fit_beta(self.exact_series(0.1))
-        assert not fit.trivially_regular
-        assert fit.beta_hat == pytest.approx(2.0, abs=1e-9)
-        assert fit.c_hat == pytest.approx(2.0, rel=1e-9)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.n_pairs == 7
-
-    def test_noisy_series_recovers_beta(self):
-        rng = np.random.default_rng(7)
-        family = []
-        for u0 in (0.1, 0.12, 0.08):
-            series = self.exact_series(u0)
-            series[1:] *= np.exp(rng.normal(0.0, 0.01, size=len(series) - 1))
-            family.append(series)
-        fit = fit_beta(family)
-        assert abs(fit.beta_hat - 2.0) <= 0.1
-        assert fit.r_squared > 0.99
-
-    def test_all_zero_series_is_trivially_regular(self):
-        fit = fit_beta(np.zeros(6))
-        assert fit == BetaFit(
-            trivially_regular=True, beta_hat=None, c_hat=None, r_squared=None, n_pairs=0
-        )
-
-    def test_zero_terminated_series_is_trivially_regular(self):
-        # Truncation that dies to exact zero is the regular outcome, not a
-        # fitting failure, even when too few positive pairs remain.
-        fit = fit_beta(np.array([0.1, 0.05, 0.01, 0.0, 0.0, 0.0]))
-        assert fit.trivially_regular
-        assert fit.beta_hat is None
-        assert fit.n_pairs == 0
-
-    def test_too_few_pairs_is_an_error(self):
-        with pytest.raises(ValueError, match="at least 5"):
-            fit_beta(np.array([0.1, 0.05, 0.01]))
-
-    def test_rejects_negative_energies(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            fit_beta(np.array([0.1, -0.05, 0.01, 0.2, 0.3, 0.4]))

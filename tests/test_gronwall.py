@@ -170,7 +170,6 @@ class TestPhiKernel:
         return [
             solve_bound(sampled),
             solve_bound(sampled, dt=1e-3),
-            solve_bound(sampled, psi_mode="identity"),
             solve_bound(smooth, 1e-2),
             solve_bound(blowup, 1e-2),
             solve_bound(overflow, dt=0.05),
@@ -178,10 +177,10 @@ class TestPhiKernel:
 
     def test_implicit_check_matches_scalar_loop(self):
         solutions = self._solutions()
-        assert [sol.overflowed for sol in solutions] == [False] * 4 + [True] * 2
+        assert [sol.overflowed for sol in solutions] == [False] * 3 + [True] * 2
         for sol in solutions:
             assert bits(implicit_check(sol)) == bits(scalar_implicit_check(sol))
-        tail = implicit_check(solutions[4])
+        tail = implicit_check(solutions[3])
         assert np.isnan(tail[-1]) and np.isfinite(tail[0])
 
 
@@ -301,14 +300,6 @@ class TestSolveBound:
             assert np.all(np.diff(sol.h)[tiny_rows] <= np.spacing(sol.h[:-1][tiny_rows]))
             assert sol.h[-1] == pytest.approx(bound_root(prob), rel=1e-14)
 
-    def test_identity_mode_matches_exponential(self):
-        prob = BoundProblem.from_function(
-            lambda t: 1.0 + math.cos(t), 0.0, 1.0, c=0.7, h0=2.0
-        )
-        sol = solve_bound(prob, 1e-3, psi_mode="identity")
-        exact = 2.0 * math.exp(0.7 * (1.0 + math.sin(1.0)))
-        assert sol.h[-1] == pytest.approx(exact, rel=1e-8)
-
     def test_constant_signal_matches_implicit_root(self):
         prob = BoundProblem.from_function(lambda t: 1.0, 0.0, 1.0, c=1.0, h0=1.0)
         sol = solve_bound(prob, 1e-3)
@@ -360,8 +351,6 @@ class TestSolveBound:
             solve_bound(prob)  # rk4 needs dt
         with pytest.raises(ValueError):
             solve_bound(prob, 1e-2, method="exact")  # callable B has no pieces
-        with pytest.raises(ValueError):
-            solve_bound(prob, 1e-2, psi_mode="cubic")
 
     @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan])
     def test_exact_rejects_nonpositive_dt(self, dt):
