@@ -26,8 +26,9 @@ from typing import Optional, Sequence
 def _resolve_thread_cap(threads: Optional[int]) -> Optional[int]:
     """Resolve the thread cap (flag beats WLNS_THREADS).
 
-    :func:`main` runs the subcommand with the cap as the ``scipy.fft``
-    worker count; outputs must not depend on it.
+    The cap is validated and recorded in the manifest.  Every transform in
+    the package runs on one thread, so any cap >= 1 is met; outputs do not
+    depend on it.
     """
     if threads is None:
         env = os.environ.get("WLNS_THREADS")
@@ -478,9 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads of every scipy.fft transform in the package "
-        "(solver, pressure and field calculus; fallback: WLNS_THREADS); "
-        "outputs are identical for any cap",
+        help="upper bound on the threads a run may use (fallback: "
+        "WLNS_THREADS), recorded in the manifest; every transform in the "
+        "package runs on one thread, so any cap >= 1 is met and outputs are "
+        "identical for any cap",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -545,12 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.threads_resolved = _resolve_thread_cap(args.threads)
     except SystemExit as exc:
         return _fail(str(exc))
-    if args.threads_resolved is None:
-        return args.func(args)
-    import scipy.fft
-
-    with scipy.fft.set_workers(args.threads_resolved):
-        return args.func(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

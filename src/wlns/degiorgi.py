@@ -373,8 +373,8 @@ def critical_w0_closed_form(C: float, beta: float) -> float:
 class EnergyBudgetReport:
     times: np.ndarray
     kinetic: np.ndarray  # int u^2 eta
-    dissipation: np.ndarray  # int |grad u|^2 eta
-    transport: np.ndarray  # int (u^2/2)(eta_t + lap eta)
+    dissipation: np.ndarray  # nu int |grad u|^2 eta
+    transport: np.ndarray  # int (u^2/2)(eta_t + nu lap eta)
     flux: np.ndarray  # int (grad eta . u)(u^2/2 + P)
     slack: np.ndarray  # accumulated inequality slack, one per snapshot
     residual_times: np.ndarray

@@ -13,7 +13,7 @@ the mean of ``|f|^2`` is the sum of ``|modes|^2`` with the last-axis modes
 This module holds the package's transforms and the spectral operators of
 each grid; the solver builds on both.  The modes a dealias mask keeps form
 a box ``|m_j| <= K``, held as a dense ``(..., 2K+1, 2K+1, K+1)`` block (the
-whole half spectrum when nothing is cut) with a pruned inverse transform.
+whole half spectrum when nothing is cut) with pruned transforms.
 """
 
 from __future__ import annotations
@@ -185,22 +185,33 @@ def _band_mask(mode_numbers: np.ndarray, max_mode: float, width: int | None = No
 # ---------------------------------------------------------------------------
 # The transforms and the spectral operators of a grid
 #
-# ``scipy.fft`` is imported and looked up at every call, so ``import wlns``
-# stays free of it and the transforms honour ``scipy.fft.set_workers``.
-
-_AXES = (-3, -2, -1)
+# Every transform is single-threaded ``numpy.fft`` with the bits of
+# ``scipy.fft.rfftn``/``irfftn(norm="forward")``: x goes before y (unlike
+# ``np.fft.rfftn``) and the forward scaling by ``1/n**3`` is one product of
+# the real and imaginary parts after the first axis (not 1/n per axis).
 
 
 def _forward(values: np.ndarray) -> np.ndarray:
     """Half-spectrum modes of real values, ``modes = fftn(values) / n**3``."""
-    import scipy.fft
-    return scipy.fft.rfftn(values, axes=_AXES, norm="forward")
+    modes = np.fft.rfft(values, axis=-1)
+    parts = modes.view(np.float64)
+    parts *= 1.0 / values.shape[-1] ** 3
+    np.fft.fft(modes, axis=-3, out=modes)
+    return np.fft.fft(modes, axis=-2, out=modes)
 
 
 def _inverse(grid: Grid, modes: np.ndarray) -> np.ndarray:
-    """Real values of half-spectrum modes; inverse of :func:`_forward`."""
-    import scipy.fft
-    return scipy.fft.irfftn(modes, s=grid.shape, axes=_AXES, norm="forward")
+    """Real values of half-spectrum modes; inverse of :func:`_forward`.
+
+    Axes x, y, z, one field at a time through the grid's line buffer.
+    """
+    lines = _operators(grid).lines
+    out = np.empty((*modes.shape[:-3], *grid.shape))
+    for field in np.ndindex(modes.shape[:-3]):
+        np.fft.ifft(modes[field], axis=0, norm="forward", out=lines)
+        np.fft.ifft(lines, axis=1, norm="forward", out=lines)
+        np.fft.irfft(lines, n=grid.n, axis=2, norm="forward", out=out[field])
+    return out
 
 
 class _Operators:
@@ -227,6 +238,7 @@ class _Operators:
         self.kx, self.ky, self.kz = k1[:, None, None], k1[None, :, None], k1[None, None, :]
         k2 = self.kx**2 + self.ky**2 + self.kz**2
         self.k2 = np.where(k2 > 0.0, k2, 1.0)
+        self.lines = np.empty((grid.n, grid.n, self.half), dtype=complex)  # for _inverse
         self._blocks: dict[float, _Block] = {}
         self._decays: dict[tuple[float, float, float], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -294,14 +306,32 @@ class _Block:
         sizes = ((self.shape[1], self.width), (self.n, self.half))
         return tuple(np.zeros((self.n, *m), dtype=complex) for m in sizes)
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """The line buffer of :meth:`forward`: the kept z columns of one field."""
+        return np.empty((self.n, self.n, self.width), dtype=complex)
+
+    def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``gather(_forward(values), out=out)`` bit for bit for one real field.
+
+        Axes z, x, y: the kept z columns are scaled into a contiguous
+        buffer, the x pass covers only them and the y pass the kept x rows.
+        """
+        columns = self._columns
+        parts = np.fft.rfft(values, axis=-1).view(np.float64)[..., : 2 * self.width]
+        np.multiply(parts, 1.0 / self.n**3, out=columns.view(np.float64))
+        np.fft.fft(columns, axis=0, out=columns)
+        for _, f in self._runs:
+            np.fft.fft(columns[f], axis=1, out=columns[f])
+        return self.gather(columns, out=out)
+
     def inverse(self, block: np.ndarray) -> np.ndarray:
         """``_inverse`` of ``scatter(block)`` bit for bit, skipping lines that stay zero.
 
-        The axes go in ``irfftn``'s order, x then y then z, one field of a
+        The axes go in ``_inverse``'s order, x then y then z, one field of a
         batch at a time through two buffers sized for one field, so a call
         allocates little beyond its result.
         """
-        import scipy.fft
         x_lines, y_lines = self._lines
         y_kept = y_lines[..., : self.width]
         out = np.empty((*block.shape[:-3], self.n, self.n, self.n))
@@ -311,13 +341,11 @@ class _Block:
             y_kept[:, self._cut] = 0.0
             for b, f in self._runs:
                 x_lines[f] = block[(*field, b)]
-            done = scipy.fft.ifft(x_lines, axis=0, norm="forward", overwrite_x=True)
+            np.fft.ifft(x_lines, axis=0, norm="forward", out=x_lines)
             for b, f in self._runs:
-                y_kept[:, f] = done[:, b]
-            done = scipy.fft.ifft(y_kept, axis=1, norm="forward", overwrite_x=True)
-            if not np.may_share_memory(done, y_kept):  # overwrite_x permits in place, no more
-                y_kept[...] = done
-            out[field] = scipy.fft.irfft(y_lines, n=self.n, axis=2, norm="forward")
+                y_kept[:, f] = x_lines[:, b]
+            np.fft.ifft(y_kept, axis=1, norm="forward", out=y_kept)
+            np.fft.irfft(y_lines, n=self.n, axis=2, norm="forward", out=out[field])
         return out
 
 

@@ -206,7 +206,7 @@ def _product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np
             np.multiply(u[i], u[j], out=product)
             if weight is not None:
                 product *= weight
-            block.gather(_forward(product), out=out[idx])
+            block.forward(product, out[idx])
     return out
 
 
@@ -559,18 +559,19 @@ def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
     """Per-snapshot integrals of the localized energy balance against ``cutoff``."""
     grid = result.grid
     vol = grid.cell_volume
+    nu = result.config.viscosity
     n_t = len(result.times)
     quadratic = np.empty(n_t)  # int phi |u|^2 / 2
-    dissipation = np.empty(n_t)  # int phi |grad u|^2
-    transport = np.empty(n_t)  # int (|u|^2/2)(phi_t + lap phi)
+    dissipation = np.empty(n_t)  # nu int phi |grad u|^2
+    transport = np.empty(n_t)  # int (|u|^2/2)(phi_t + nu lap phi)
     flux = np.empty(n_t)  # int (u . grad phi)(|u|^2/2 + P)
     for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
         phi = cutoff.value(grid, t)
         u2_half = 0.5 * sum(c.values**2 for c in u.components)
         quadratic[idx] = np.sum(phi * u2_half) * vol
-        dissipation[idx] = np.sum(phi * gradient_squares(u)) * vol
+        dissipation[idx] = nu * np.sum(phi * gradient_squares(u)) * vol
         transport[idx] = (
-            np.sum(u2_half * (cutoff.time_derivative(grid, t) + cutoff.laplacian(grid, t)))
+            np.sum(u2_half * (cutoff.time_derivative(grid, t) + nu * cutoff.laplacian(grid, t)))
             * vol
         )
         grad_phi = cutoff.gradient(grid, t)
@@ -624,9 +625,9 @@ def energy_residual(
     """Defect of the localized energy balance along a stored trajectory.
 
     For each interior snapshot time it evaluates ``d/dt int phi |u|^2/2
-    + int phi |grad u|^2 - int (|u|^2/2)(phi_t + Lap phi) - int (u . grad
-    phi)(|u|^2/2 + P)``; the time derivative uses centered differences of
-    the stated order, so the report shrinks under refinement for smooth
+    + nu int phi |grad u|^2 - int (|u|^2/2)(phi_t + nu Lap phi) - int (u .
+    grad phi)(|u|^2/2 + P)``; the time derivative uses centered differences
+    of the stated order, so the report shrinks under refinement for smooth
     runs.  The pressure is dealiased as the run was.
     """
     if cutoff is None:

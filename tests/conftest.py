@@ -11,10 +11,16 @@ and ``scalar_implicit_check`` are the scalar Gauss-Legendre rule and the
 row-by-row identity check that ``wlns.gronwall``'s array kernel must match
 bit for bit.  ``sample_scalar``,
 ``sample_vector``, ``hermitian_defect`` and ``gaussian_bump`` build test
-fields, check spectra and localize energy balances.
+fields, check spectra and localize energy balances.  ``run_python`` and
+``imported_modules`` run a fresh interpreter on this checkout and read the
+modules it imported.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,3 +180,24 @@ def gaussian_bump(center: Sequence[float], width: float) -> CutoffFunction:
         gradient=gradient,
         laplacian=laplacian,
     )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports ``wlns`` from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+
+
+def imported_modules(proc):
+    """Module names from the ``-X importtime`` lines of a finished run."""
+    # each -X importtime line ends in "| <module name>"
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]

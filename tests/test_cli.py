@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import imported_modules, run_python
 
 from wlns.cli import main
 from wlns.criteria import CriterionTrace
@@ -558,35 +559,14 @@ class TestGronwall:
 
 
 class TestThreads:
-    def test_cap_sets_solver_fft_workers(self, taylor_green_run, tmp_path, monkeypatch):
-        import scipy.fft
-
-        # every scipy.fft entry point the package calls, with the worker count
-        # each call ran under
-        entry_points = ("rfftn", "irfftn", "ifft", "irfft")
-        seen = []
-        for name in entry_points:
-            original = getattr(scipy.fft, name)
-
-            def recording(*args, _name=name, _original=original, **kwargs):
-                seen.append((_name, scipy.fft.get_workers()))
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, recording)
+    def test_cap_is_recorded_and_loads_no_scipy(self, tmp_path):
+        # every transform runs on one thread, so the cap needs no scipy.fft workers
         cfg = write_config(tmp_path, RANDOM_CFG)
-        runs = (
-            # the solver's step inverts through the pruned ifft/irfft lines
-            (["simulate", str(cfg), "--out", str(tmp_path / "o")], set(entry_points)),
-            # the level-set energies reach the transforms through the field calculus
-            (["diagnose", str(taylor_green_run), "--q", "6.0", "--out", str(tmp_path / "d"),
-              "--cylinder-scale", "0.3", "--kmax", "1"], {"rfftn", "irfftn"}),
-        )
-        for argv, called in runs:
-            seen.clear()
-            assert main(["--threads", "3", *argv]) == 0
-            assert {name for name, _ in seen} == called, argv[0]
-            assert {workers for _, workers in seen} == {3}, argv[0]
-            assert scipy.fft.get_workers() == 1  # restored after the subcommand
+        out = tmp_path / "o"
+        argv = ["-X", "importtime", "-m", "wlns.cli", "--threads", "3", "simulate", str(cfg)]
+        imported = imported_modules(run_python(*argv, "--out", str(out)))
+        assert json.loads((out / "manifest.json").read_text())["threads"] == 3
+        assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
     def test_cap_leaves_environment_unchanged(self, monkeypatch):
         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

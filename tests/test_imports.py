@@ -1,26 +1,12 @@
-"""Import boundaries: scipy submodules load only where a subcommand uses them."""
+"""Import boundaries: no subcommand loads scipy, and `import wlns` defers its submodules."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import imported_modules, run_python
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wlns" / "configs"
 DEFERRED = ("scipy.fft", "scipy.integrate", "scipy.optimize")
-
-
-def run_python(*args):
-    """Run a fresh interpreter that imports ``wlns`` from this checkout."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
 
 
 @pytest.mark.parametrize("module", ["wlns", "wlns.cli"])
@@ -28,12 +14,6 @@ def test_import_defers_scipy_submodules(module):
     code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
     loaded = set(run_python("-c", code).stdout.split())
     assert loaded.isdisjoint(DEFERRED)
-
-
-def imported_modules(proc):
-    """Module names from the ``-X importtime`` lines of a finished run."""
-    # each -X importtime line ends in "| <module name>"
-    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
 
 
 def test_recursive_scan_loads_no_scipy():
@@ -57,3 +37,18 @@ def test_log_space_integrals_load_no_scipy(subcommand, tmp_path):
     imported = imported_modules(proc)
     assert f"wlns.{subcommand}" in imported
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+def test_simulate_and_diagnose_load_no_scipy(tmp_path):
+    cfg = tmp_path / "tg16.cfg"
+    cfg.write_text((CONFIG_DIR / "taylor-green.cfg").read_text().replace("n = 32", "n = 16"))
+    run = tmp_path / "run"
+    commands = (
+        ("wlns.nse_solver", ["simulate", str(cfg), "--out", str(run)]),
+        ("wlns.degiorgi", ["diagnose", str(run), "--q", "6", "--cylinder-scale", "0.3",
+                           "--out", str(tmp_path / "diag")]),
+    )
+    for module, args in commands:
+        imported = imported_modules(run_python("-X", "importtime", "-m", "wlns.cli", *args))
+        assert module in imported
+        assert [name for name in imported if name.split(".")[0] == "scipy"] == []

@@ -684,6 +684,12 @@ class TestEnergyResidual:
         report = energy_residual(tg_run_32, constant_one())
         assert report.max_abs < 1e-6
 
+    def test_global_balance_weighs_viscous_terms(self):
+        # an unweighted dissipation would leave (1 - nu) of it as residual
+        config = SolverConfig(viscosity=0.1, dt=1e-3, t_end=0.05, snapshot_every=5)
+        report = energy_residual(run(taylor_green(Grid(n=16)), config), constant_one())
+        assert report.max_abs <= 1e-9 * np.mean(report.terms["dissipation"])
+
     def test_gaussian_bump_residual(self, tg_run_32):
         bump = gaussian_bump((np.pi, np.pi, np.pi), width=0.5)
         report = energy_residual(tg_run_32, bump)
