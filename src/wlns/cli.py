@@ -3,8 +3,8 @@
 One executable, five subcommands, INI configs for the solver, CSV + JSON
 manifest outputs.  Exit codes: 0 on success, 1 for usage/config problems
 (malformed files report the offending line), 2 when a run halts on
-blow-up, overflow, an interrupt or running out of memory (partial outputs
-are still flushed).
+blow-up, overflow, an interrupt, SIGTERM or running out of memory (partial
+outputs are still flushed).
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
@@ -205,12 +207,19 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _terminate(signum, frame):
+    """SIGTERM handler: the run halts as on Ctrl-C, and the manifest names the signal."""
+    raise KeyboardInterrupt("terminated")
+
+
 def _cmd_simulate(args) -> int:
     from wlns.field import write_snapshot
     from wlns.nse_solver import BlowUpError, run
 
     try:
-        grid, u0, config, q, seed, prefix, snaps, snapshot = _load_run_config(args.config)
+        # the initial field sits alone in the list ``initial``: run takes the only
+        # reference to it and lets it go once the solver state is built
+        _, *initial, config, q, seed, prefix, snaps, snapshot = _load_run_config(args.config)
     except (OSError, configparser.Error, ValueError) as exc:
         return _fail(str(exc))
 
@@ -225,15 +234,21 @@ def _cmd_simulate(args) -> int:
             write_snapshot(manifest.out_dir / name, t, u)
             written.append(manifest.output(name))
 
+    # only the main thread may set a handler; the old one comes back after the run
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if main_thread else None
     try:
-        result = run(u0, config, q=q, sink=sink)
+        result = run(initial.pop(), config, q=q, sink=sink)
     except BlowUpError as exc:
         manifest.halted, result = str(exc), exc.result
     except KeyboardInterrupt as exc:
         # the snapshots written so far stay listed, with the trace up to them
-        manifest.halted, result = "interrupted", getattr(exc, "result", None)
+        manifest.halted, result = str(exc) or "interrupted", getattr(exc, "result", None)
     except MemoryError as exc:
         manifest.halted, result = "out of memory", getattr(exc, "result", None)
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     if result is not None and result.trace is not None:
         result.trace.to_csv(manifest.output("trace.csv"))
     manifest.write()

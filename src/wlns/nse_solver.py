@@ -8,9 +8,9 @@ nonlinear term with the viscous semigroup handled exactly by an
 integrating factor, so a pure heat mode decays with machine-precision
 accuracy at any step size.
 Quadratic products are formed in physical space and dealiased by the
-2/3 rule.  Every mode the rule cuts is zero at every stage, so the RK4
-stages run on ``wlns.field``'s kept block of modes, and each stage goes
-back to physical space through that block's pruned inverse transform.
+2/3 rule.  Every mode the rule cuts is zero at every stage, so the state
+and the RK4 stages hold only ``wlns.field``'s kept block of modes, and each
+stage goes back to physical space through the block's pruned inverse transform.
 
 The module also recovers the pressure by a spectral Poisson solve and
 evaluates the localized energy-balance residual against a smooth
@@ -278,13 +278,19 @@ class SolverState:
     grid: Grid
     time: float
     step_index: int
-    modes: np.ndarray  # (3, n, n, n//2+1) complex half spectrum
+    kept: np.ndarray  # (3, 2K+1, 2K+1, K+1) complex block of the modes the dealias rule keeps
+    dealias_fraction: float
 
     @classmethod
     def from_velocity(cls, u: VectorField, config: SolverConfig) -> "SolverState":
-        mask = _operators(u.grid).block(config.dealias_fraction).mask
-        modes = leray_project(u.grid, to_spectral(u) * mask)
-        return cls(grid=u.grid, time=0.0, step_index=0, modes=modes)
+        block = _operators(u.grid).block(config.dealias_fraction)
+        kept = _project(block.gather(to_spectral(u)), *block.symbols)
+        return cls(u.grid, 0.0, 0, kept, config.dealias_fraction)
+
+    @property
+    def modes(self) -> np.ndarray:
+        """The ``(3, n, n, n//2+1)`` half spectrum, zero outside ``kept``, built on each read."""
+        return _operators(self.grid).block(self.dealias_fraction).scatter(self.kept)
 
     @cached_property
     def physical(self) -> np.ndarray:
@@ -293,7 +299,7 @@ class SolverState:
         ``run`` reads them for CFL, blow-up and snapshots, and the next
         :func:`step` starts from them.
         """
-        return _inverse(self.grid, self.modes)
+        return _operators(self.grid).block(self.dealias_fraction).inverse(self.kept)
 
     def velocity(self) -> VectorField:
         return VectorField.from_arrays(self.grid, *self.physical)
@@ -302,11 +308,12 @@ class SolverState:
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One RK4 step with the viscous factor applied exactly per substage.
 
-    The stages run on the block of modes the dealias mask keeps, dropping
-    any content of ``state.modes`` outside it (``from_velocity`` leaves
-    none).  Stage 1 starts from ``state.physical``; the new state's
-    ``physical`` is seeded from the block, so a step costs 36 transforms.
+    The stages run on ``state.kept``, the block of the dealias fraction the
+    state and ``config`` must share.  Stage 1 starts from ``state.physical``;
+    the new state's ``physical`` is seeded from the block, so a step costs 36 transforms.
     """
+    if state.dealias_fraction != config.dealias_fraction:
+        raise ValueError("the state and the config keep different dealias fractions")
     dt = config.dt
     ops = _operators(state.grid)
     block = ops.block(config.dealias_fraction)
@@ -317,7 +324,7 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     def advect(u):
         return _project(_advection(u, block, 1j), *block.symbols)
 
-    u0 = block.gather(state.modes)
+    u0 = state.kept
     a1 = advect(state.physical)
     a2 = advect(block.inverse(decay_half * (u0 - 0.5 * dt * a1)))
     a3 = advect(block.inverse(decay_half * u0 - 0.5 * dt * a2))
@@ -330,7 +337,7 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
         state,
         time=(state.step_index + 1) * dt,
         step_index=state.step_index + 1,
-        modes=block.scatter(new),
+        kept=new,
     )
     # the value the cached property would compute, bit for bit
     vars(following)["physical"] = block.inverse(new)
@@ -366,6 +373,7 @@ def run(
     """
     grid = u0.grid
     state = SolverState.from_velocity(u0, config)
+    del u0  # the state is all a run needs; a caller that kept no reference frees the field
     times: list[float] = []
     snapshots: list[VectorField] = []
     rows: list[TraceRow] = []

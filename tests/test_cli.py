@@ -11,6 +11,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -120,7 +121,9 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "exceeded threshold" in manifest["halted"]
 
-    def test_interrupt_leaves_readable_partial_outputs(self, tmp_path):
+    @staticmethod
+    def halt_by_signal(tmp_path, signum, halted):
+        """Send ``signum`` to a ``simulate`` subprocess after three snapshots; check its halt."""
         cfg = write_config(
             tmp_path,
             "[solver]\nn = 16\ndt = 1e-3\nt_end = 100.0\nsnapshot_every = 20\n"
@@ -141,16 +144,16 @@ class TestSimulate:
                 assert proc.poll() is None, proc.communicate()
                 assert time.monotonic() < deadline, "no snapshots written"
                 time.sleep(0.02)
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             _, err = proc.communicate(timeout=120.0)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
         assert proc.returncode == 2, err
-        assert "halted: interrupted" in err
+        assert f"halted: {halted}" in err
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["halted"] == "interrupted"
+        assert manifest["halted"] == halted
         listed = [entry["path"] for entry in manifest["outputs"]]
         assert "trace.csv" in listed
         for entry in manifest["outputs"]:
@@ -164,9 +167,31 @@ class TestSimulate:
         times = [read_vector_snapshot(out / name)[0] for name in snapshots]
         assert times == pytest.approx([0.02 * i for i in range(len(snapshots))], abs=1e-12)
         trace = CriterionTrace.from_csv(out / "trace.csv", q=6.0)
-        # the interrupt may land between writing a snapshot and its trace row
+        # the signal may land between writing a snapshot and its trace row
         assert len(snapshots) - 1 <= len(trace.t) <= len(snapshots)
         assert list(trace.t) == times[: len(trace.t)]
+
+    def test_interrupt_leaves_readable_partial_outputs(self, tmp_path):
+        self.halt_by_signal(tmp_path, signal.SIGINT, "interrupted")
+
+    def test_sigterm_leaves_readable_partial_outputs(self, tmp_path):
+        self.halt_by_signal(tmp_path, signal.SIGTERM, "terminated")
+
+    def test_sigterm_handler_restored_after_run(self, tmp_path):
+        cfg = write_config(tmp_path, RANDOM_CFG)
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "main")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+        # a worker thread may not set handlers: it runs without one
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(main(["simulate", str(cfg), "--out", str(tmp_path / "w")]))
+        )
+        worker.start()
+        worker.join(timeout=120.0)
+        assert not worker.is_alive()
+        assert codes == [0]
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_out_of_memory_leaves_readable_partial_outputs(self, tmp_path, monkeypatch, capsys):
         import wlns.field

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -472,7 +473,7 @@ class TestBlockStep:
     """The step on the kept block against the masked half-spectrum step."""
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
-    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("n", [16, 24, 48])
     def test_bit_identical_to_masked_step(self, n, fraction):
         grid = Grid(n=n)
         config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01, dealias_fraction=fraction)
@@ -483,6 +484,31 @@ class TestBlockStep:
             modes = masked_step(grid, modes, config)
             assert np.array_equal(state.modes, modes)
             assert np.array_equal(state.physical, to_physical(grid, modes).as_array())
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_state_holds_only_the_block(self, n, fraction):
+        grid = Grid(n=n)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01, dealias_fraction=fraction)
+        block = _operators(grid).block(fraction)
+        state = SolverState.from_velocity(random_divfree(grid, seed=n, amplitude=2.0), config)
+        for state in (state, step(state, config)):
+            assert state.kept.shape == (3, *block.shape)
+            assert state.kept.nbytes == 3 * math.prod(block.shape) * 16
+            assert state.dealias_fraction == fraction
+            # the half spectrum is built on each read and never stored
+            assert state.modes is not state.modes
+            assert np.array_equal(block.gather(state.modes), state.kept)
+            assert "modes" not in vars(state)
+
+    def test_step_rejects_another_dealias_fraction(self):
+        grid = Grid(n=16)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01)
+        state = SolverState.from_velocity(random_divfree(grid, seed=1), config)
+        for fraction in (0.5, 1.0):
+            other = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01, dealias_fraction=fraction)
+            with pytest.raises(ValueError, match="different dealias fractions"):
+                step(state, other)
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
     def test_modes_outside_block_stay_zero(self, fraction):
@@ -532,6 +558,37 @@ class TestBlockStep:
         finally:
             tracemalloc.stop()
         assert peak < 5 * state.physical.nbytes
+
+    def test_run_memory_stays_below_four_fields(self):
+        """A warmed 48^3 ``run`` whose caller keeps no initial field peaks below four fields.
+
+        The state is the kept block, a third of a field at 48^3, and ``run``
+        lets the initial field go once the state is built.  A state holding
+        the whole half spectrum would peak at 6.1 fields, and keeping the
+        initial field through the run adds one more.
+        """
+        grid = Grid(n=48)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01, snapshot_every=5)
+        field = 3 * grid.n**3 * 8
+        run(random_divfree(grid, seed=1), config, sink=lambda t, u: None)
+        tracemalloc.start()
+        try:
+            initial = [random_divfree(grid, seed=1)]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run(initial.pop(), config, sink=lambda t, u: None)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * field
+
+    def test_run_lets_the_initial_field_go(self):
+        initial = [random_divfree(Grid(n=16), seed=1)]
+        alive = weakref.ref(initial[0])
+        seen = []
+        config = SolverConfig(dt=2e-3, t_end=0.01)
+        run(initial.pop(), config, callback=lambda state: seen.append(alive() is None))
+        assert seen == [True] * config.n_steps
 
 
 class TestSink:
