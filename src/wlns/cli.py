@@ -471,7 +471,7 @@ run config keys ([solver] section):
   dt, t_end          time step and final time (defaults 1e-3, 0.1)
   dealias_fraction   retained-mode fraction (default 2/3)
   snapshot_every     steps between snapshots (default 1)
-  blowup_threshold   max|u| halt level (default 1e8)
+  blowup_threshold   max|u| halt level, positive (default 1e8)
   initial_condition  taylor_green | single_mode | random
   amplitude          initial-condition amplitude (default 1.0)
   seed               RNG seed (required for random)

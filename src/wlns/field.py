@@ -10,10 +10,11 @@ Transforms follow the convention that the mode array of a constant field
 the mean of ``|f|^2`` is the sum of ``|modes|^2`` with the last-axis modes
 ``1..n/2-1`` counted twice, once for their conjugates (discrete Parseval).
 
-This module holds the package's transforms and the spectral operators of
-each grid; the solver builds on both.  The modes a dealias mask keeps form
-a box ``|m_j| <= K``, held as a dense ``(..., 2K+1, 2K+1, K+1)`` block (the
-whole half spectrum when nothing is cut) with pruned transforms.
+Every mode array this module and the solver take is a half spectrum.
+The modes a dealias mask keeps form a box ``|m_j| <= K``, held as a dense
+``(..., 2K+1, 2K+1, K+1)`` block with its symbols, viscous factors and
+pruned transforms; the block of fraction 1 is the whole half spectrum, and
+the package's spectral calculus runs on it.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _band_mask(mode_numbers: np.ndarray, max_mode: float, width: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# The transforms and the spectral operators of a grid
+# The transforms and the kept blocks of a grid
 #
 # Every transform is single-threaded ``numpy.fft`` with the bits of
 # ``scipy.fft.rfftn``/``irfftn(norm="forward")``: x goes before y (unlike
@@ -200,88 +201,51 @@ def _forward(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(modes, axis=-2, out=modes)
 
 
-def _inverse(grid: Grid, modes: np.ndarray) -> np.ndarray:
-    """Real values of half-spectrum modes; inverse of :func:`_forward`.
-
-    Axes x, y, z, one field at a time through the grid's line buffer.
-    """
-    lines = _operators(grid).lines
-    out = np.empty((*modes.shape[:-3], *grid.shape))
-    for field in np.ndindex(modes.shape[:-3]):
-        np.fft.ifft(modes[field], axis=0, norm="forward", out=lines)
-        np.fft.ifft(lines, axis=1, norm="forward", out=lines)
-        np.fft.irfft(lines, n=grid.n, axis=2, norm="forward", out=out[field])
-    return out
-
-
-class _Operators:
-    """Spectral operators of one grid, built once and shared by every call.
-
-    The first-derivative symbols are broadcastable axes with the unpaired
-    Nyquist mode zeroed, the standard choice for odd-order spectral
-    derivatives of real data; ``k2`` is ``|k|^2`` built from them with zeros
-    mapped to 1.  Using the same symbols as the derivative operators keeps
-    the projection/pressure algebra Hermitian and exactly consistent with
-    them; the substituted 1 only appears where every symbol vanishes, and
-    there the numerators vanish too.  ``kz`` and ``k2`` keep the full last
-    axis so they can be sliced to either layout.  The kept blocks and the
-    viscous factors of a solver config are built on first use and kept.
-    """
-
-    def __init__(self, grid: Grid):
-        # plain values only: the cache entry must not keep the grid alive
-        self.n, self._modes = grid.n, grid.mode_numbers
-        self.half = grid.n // 2 + 1
-        self._k1 = (TWO_PI / grid.length) * self._modes.astype(np.float64)
-        k1 = self._k1.copy()
-        k1[grid.n // 2] = 0.0
-        self.kx, self.ky, self.kz = k1[:, None, None], k1[None, :, None], k1[None, None, :]
-        k2 = self.kx**2 + self.ky**2 + self.kz**2
-        self.k2 = np.where(k2 > 0.0, k2, 1.0)
-        self.lines = np.empty((grid.n, grid.n, self.half), dtype=complex)  # for _inverse
-        self._blocks: dict[float, _Block] = {}
-        self._decays: dict[tuple[float, float, float], tuple[np.ndarray, np.ndarray]] = {}
-
-    def symbols(self, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(kx, ky, kz, k2)`` for modes whose last axis has ``width`` entries."""
-        return self.kx, self.ky, self.kz[..., :width], self.k2[..., :width]
-
-    def block(self, fraction: float) -> _Block:
-        """The modes ``Grid.dealias_mask(fraction)`` keeps, with their half-spectrum mask."""
-        if fraction not in self._blocks:
-            mask = _band_mask(self._modes, fraction * self.n / 2.0, self.half)
-            self._blocks[fraction] = _Block(self, mask)
-        return self._blocks[fraction]
-
-    def decay(self, viscosity: float, dt: float, fraction: float) -> tuple[np.ndarray, np.ndarray]:
-        """Viscous factors ``exp(-nu |k|^2 dt/2)``, ``exp(-nu |k|^2 dt)`` on ``block(fraction)``."""
-        key = viscosity, dt, fraction
-        if key not in self._decays:
-            k, kh = self._k1, self._k1[: self.half]
-            k_squared = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kh[None, None, :] ** 2
-            half = self.block(fraction).gather(np.exp(-viscosity * k_squared * (dt / 2.0)))
-            self._decays[key] = half, half * half
-        return self._decays[key]
-
-
 class _Block:
-    """The modes a dealias ``mask`` keeps, as a dense ``(..., b, b, width)`` array.
+    """The modes ``Grid.dealias_mask(fraction)`` keeps, as a dense ``(..., b, b, width)`` array.
 
     Along x and y the kept modes ``0..K`` and ``-K..-1`` are two runs of the
-    FFT layout, put side by side; along z they are the first ``width``.
+    FFT layout, put side by side; along z they are the first ``width``.  At
+    fraction 1 the block is the whole half spectrum.
+
+    ``symbols`` are the first-derivative symbols of the kept modes, with the
+    unpaired Nyquist mode zeroed (the standard choice for odd-order spectral
+    derivatives of real data), and ``k2`` is ``|k|^2`` built from them with
+    zeros mapped to 1.  Using the same symbols as the derivative operators
+    keeps the projection/pressure algebra Hermitian and exactly consistent
+    with them; the substituted 1 only appears where every symbol vanishes,
+    and there the numerators vanish too.
     """
 
-    def __init__(self, ops: _Operators, mask: np.ndarray):
+    def __init__(self, grid: Grid, fraction: float):
+        # plain values only: the cache entry must not keep the grid alive
+        n = self.n = grid.n
+        self.half = n // 2 + 1
+        self.mask = _band_mask(grid.mode_numbers, fraction * n / 2.0, self.half)
         # the mask is a product of one keep vector per axis, and mode 0 is kept
-        n, keep, self.mask = ops.n, mask[:, 0, 0], mask
+        keep, self.width = self.mask[:, 0, 0], int(self.mask[0, 0].sum())
         lead, size = int(keep[: n // 2].sum()), int(keep.sum())
-        self.n, self.half, self.width = n, ops.half, int(mask[0, 0].sum())
         self.shape = (size, size, self.width)
         # (block, half spectrum) index ranges of the two runs along x and y
         self._runs = ((slice(0, lead),) * 2, (slice(lead, size), slice(n - size + lead, n)))
         self._cut = slice(lead, n - size + lead)  # the half spectrum's rows between the runs
-        index, kz = np.flatnonzero(keep), ops.kz[..., : self.width]
-        self.symbols = ops.kx[index], ops.ky[:, index], kz, self.gather(ops.k2)
+        k = (TWO_PI / grid.length) * grid.mode_numbers.astype(np.float64)
+        index = np.flatnonzero(keep)
+        self._wavenumbers = k[index], k[: self.width].copy()  # the decay's, Nyquist kept
+        k[n // 2] = 0.0
+        kx, ky, kz = k[index][:, None, None], k[index][None, :, None], k[None, None, : self.width]
+        k2 = kx**2 + ky**2 + kz**2
+        self.symbols = kx, ky, kz, np.where(k2 > 0.0, k2, 1.0)
+        self._decays: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def decay(self, viscosity: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Viscous factors ``exp(-nu |k|^2 dt/2)``, ``exp(-nu |k|^2 dt)`` on the block."""
+        if (viscosity, dt) not in self._decays:
+            k, kz = self._wavenumbers
+            k_squared = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz[None, None, :] ** 2
+            half = np.exp(-viscosity * k_squared * (dt / 2.0))
+            self._decays[viscosity, dt] = half, half * half
+        return self._decays[viscosity, dt]
 
     def gather(self, modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The block of ``(..., n, n, m)`` modes, ``m >= width``, written to ``out`` if given."""
@@ -326,11 +290,12 @@ class _Block:
         return self.gather(columns, out=out)
 
     def inverse(self, block: np.ndarray) -> np.ndarray:
-        """``_inverse`` of ``scatter(block)`` bit for bit, skipping lines that stay zero.
+        """Real values of the half spectrum ``scatter(block)``; inverse of :func:`_forward`.
 
-        The axes go in ``_inverse``'s order, x then y then z, one field of a
-        batch at a time through two buffers sized for one field, so a call
-        allocates little beyond its result.
+        Unscaled ``ifft`` along x, then y, then ``irfft`` along z, skipping
+        lines that stay zero, one field of a batch at a time through two
+        buffers sized for one field, so a call allocates little beyond its
+        result.
         """
         x_lines, y_lines = self._lines
         y_kept = y_lines[..., : self.width]
@@ -349,15 +314,17 @@ class _Block:
         return out
 
 
-# one entry per live grid; equal grids share it, and it goes with the last
-_OPERATORS: weakref.WeakKeyDictionary[Grid, _Operators] = weakref.WeakKeyDictionary()
+# one dict of blocks per grid, keyed by fraction; equal grids share it, and
+# it goes when the grid that made it is collected
+_BLOCKS: weakref.WeakKeyDictionary[Grid, dict[float, _Block]] = weakref.WeakKeyDictionary()
 
 
-def _operators(grid: Grid) -> _Operators:
-    ops = _OPERATORS.get(grid)
-    if ops is None:
-        ops = _OPERATORS[grid] = _Operators(grid)
-    return ops
+def _block(grid: Grid, fraction: float) -> _Block:
+    """The block of ``grid.dealias_mask(fraction)``, built once; fraction 1 is the half spectrum."""
+    blocks = _BLOCKS.setdefault(grid, {})
+    if fraction not in blocks:
+        blocks[fraction] = _Block(grid, fraction)
+    return blocks[fraction]
 
 
 @dataclass(frozen=True)
@@ -395,7 +362,7 @@ def inverse_transform(spec: SpectralField) -> ScalarField | VectorField:
     The round trip ``inverse_transform(forward_transform(f))`` reproduces
     ``f`` to machine precision.
     """
-    values = _inverse(spec.grid, spec.modes)
+    values = _block(spec.grid, 1.0).inverse(spec.modes)
     if spec.is_vector:
         return VectorField.from_arrays(spec.grid, *values)
     return ScalarField(spec.grid, values)
@@ -411,8 +378,9 @@ def _scalar_modes(field: ScalarField | SpectralField) -> tuple[Grid, np.ndarray]
 
 def _derivatives(grid: Grid, modes: np.ndarray):
     """The three spectral first derivatives of scalar modes, one at a time."""
-    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
-    return (_inverse(grid, 1j * k * modes) for k in (kx, ky, kz))
+    half = _block(grid, 1.0)
+    kx, ky, kz, _ = half.symbols
+    return (half.inverse(1j * k * modes) for k in (kx, ky, kz))
 
 
 def gradient(field: ScalarField | SpectralField) -> VectorField:
@@ -439,10 +407,10 @@ def divergence(field: VectorField | SpectralField) -> ScalarField:
         field = forward_transform(field)
     elif not field.is_vector:
         raise ValueError("expected a vector field")
-    grid, modes = field.grid, field.modes
-    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
+    grid, modes, half = field.grid, field.modes, _block(field.grid, 1.0)
+    kx, ky, kz, _ = half.symbols
     div_modes = 1j * (kx * modes[0] + ky * modes[1] + kz * modes[2])
-    return ScalarField(grid, _inverse(grid, div_modes))
+    return ScalarField(grid, half.inverse(div_modes))
 
 
 def laplacian(field: ScalarField | SpectralField) -> ScalarField:
@@ -452,9 +420,10 @@ def laplacian(field: ScalarField | SpectralField) -> ScalarField:
     to ``divergence(gradient(.))`` on every input.
     """
     grid, modes = _scalar_modes(field)
-    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
+    half = _block(grid, 1.0)
+    kx, ky, kz, _ = half.symbols
     sym = -(kx**2 + ky**2 + kz**2)
-    return ScalarField(grid, _inverse(grid, sym * modes))
+    return ScalarField(grid, half.inverse(sym * modes))
 
 
 def rescale(

@@ -3,7 +3,7 @@
 Velocity lives in Fourier space as the real-FFT half spectrum of
 :mod:`wlns.field`, a ``(3, n, n, n//2+1)`` complex array of modes; the
 masks, derivative symbols and viscous factors come from that module's
-per-grid operator cache.  Time stepping is classical RK4 on the
+kept blocks, built once per grid and dealias fraction.  Time stepping is classical RK4 on the
 nonlinear term with the viscous semigroup handled exactly by an
 integrating factor, so a pure heat mode decays with machine-precision
 accuracy at any step size.
@@ -32,9 +32,8 @@ from wlns.field import (
     ScalarField,
     VectorField,
     _band_mask,
+    _block,
     _forward,
-    _inverse,
-    _operators,
     gradient_squares,
 )
 
@@ -71,6 +70,8 @@ class SolverConfig:
             raise ValueError("snapshot_every must be >= 1")
         if not 0 < self.dealias_fraction <= 1:
             raise ValueError("dealias fraction must lie in (0, 1]")
+        if not self.blowup_threshold > 0:  # NaN would never trip the max|u| halt
+            raise ValueError("blowup_threshold must be positive")
         self.n_steps  # a bad step count fails here, before any run starts
 
     @cached_property
@@ -148,8 +149,8 @@ def random_divfree(
 # ---------------------------------------------------------------------------
 # spectral operators
 #
-# Masks and symbols are sliced to ``modes.shape[-1]``, so the projection and
-# the divergence defect accept the half spectrum and the full layout alike.
+# The public operators take half-spectrum modes and the symbols of
+# ``_block(grid, 1.0)``, the block that is the whole half spectrum.
 
 # the six distinct entries of the symmetric tensor u_i u_j, and where
 # entry (i, j) sits in that stack
@@ -163,16 +164,16 @@ def to_spectral(u: VectorField) -> np.ndarray:
 
 
 def to_physical(grid: Grid, modes: np.ndarray) -> VectorField:
-    return VectorField.from_arrays(grid, *_inverse(grid, modes))
+    return VectorField.from_arrays(grid, *_block(grid, 1.0).inverse(modes))
 
 
 def leray_project(grid: Grid, modes: np.ndarray) -> np.ndarray:
-    """Mode-wise ``(I - k k^T / |k|^2)``; the mean mode passes through."""
-    return _project(modes, *_operators(grid).symbols(modes.shape[-1]))
+    """Mode-wise ``(I - k k^T / |k|^2)`` on half-spectrum modes; the mean mode passes through."""
+    return _project(modes, *_block(grid, 1.0).symbols)
 
 
 def _project(modes: np.ndarray, kx, ky, kz, k2) -> np.ndarray:
-    """:func:`leray_project` with the symbols of the layout of ``modes``."""
+    """:func:`leray_project` on the modes of a block, given that block's ``symbols``."""
     compression = (kx * modes[0] + ky * modes[1] + kz * modes[2]) / k2
     out = modes.copy()
     out[0] -= kx * compression
@@ -183,7 +184,7 @@ def _project(modes: np.ndarray, kx, ky, kz, k2) -> np.ndarray:
 
 def spectral_divergence_defect(grid: Grid, modes: np.ndarray) -> float:
     """``max_k |k . u(k)|`` relative to ``max_k |u(k)|``."""
-    kx, ky, kz, _ = _operators(grid).symbols(modes.shape[-1])
+    kx, ky, kz, _ = _block(grid, 1.0).symbols
     div = np.abs(kx * modes[0] + ky * modes[1] + kz * modes[2])
     peak = np.abs(modes).max()
     if peak == 0.0:
@@ -233,9 +234,8 @@ def nonlinear_term(grid: Grid, modes: np.ndarray, mask: np.ndarray) -> np.ndarra
     ``leray_project`` as the scheme requires.  ``modes`` is a half
     spectrum; ``mask`` may be half or full (``Grid.dealias_mask``).
     """
-    ops = _operators(grid)
-    # the block of fraction 1 is the whole half spectrum
-    return _advection(_inverse(grid, modes), ops.block(1.0), 1j * mask[..., : ops.half])
+    half = _block(grid, 1.0)
+    return _advection(half.inverse(modes), half, 1j * mask[..., : half.width])
 
 
 def pressure_from_velocity(
@@ -247,7 +247,7 @@ def pressure_from_velocity(
     dealias mask keeps; an optional pointwise ``weight`` multiplies the
     tensor before the solve (used for the high/low pressure split).
     """
-    block = _operators(u.grid).block(dealias_fraction)
+    block = _block(u.grid, dealias_fraction)
     products = _product_modes(u.as_array(), block, weight)
     *k, k2 = block.symbols
     phat = np.zeros(block.shape, dtype=np.complex128)
@@ -283,14 +283,14 @@ class SolverState:
 
     @classmethod
     def from_velocity(cls, u: VectorField, config: SolverConfig) -> "SolverState":
-        block = _operators(u.grid).block(config.dealias_fraction)
+        block = _block(u.grid, config.dealias_fraction)
         kept = _project(block.gather(to_spectral(u)), *block.symbols)
         return cls(u.grid, 0.0, 0, kept, config.dealias_fraction)
 
     @property
     def modes(self) -> np.ndarray:
         """The ``(3, n, n, n//2+1)`` half spectrum, zero outside ``kept``, built on each read."""
-        return _operators(self.grid).block(self.dealias_fraction).scatter(self.kept)
+        return _block(self.grid, self.dealias_fraction).scatter(self.kept)
 
     @cached_property
     def physical(self) -> np.ndarray:
@@ -299,7 +299,7 @@ class SolverState:
         ``run`` reads them for CFL, blow-up and snapshots, and the next
         :func:`step` starts from them.
         """
-        return _operators(self.grid).block(self.dealias_fraction).inverse(self.kept)
+        return _block(self.grid, self.dealias_fraction).inverse(self.kept)
 
     def velocity(self) -> VectorField:
         return VectorField.from_arrays(self.grid, *self.physical)
@@ -315,9 +315,8 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     if state.dealias_fraction != config.dealias_fraction:
         raise ValueError("the state and the config keep different dealias fractions")
     dt = config.dt
-    ops = _operators(state.grid)
-    block = ops.block(config.dealias_fraction)
-    decay_half, decay_full = ops.decay(config.viscosity, dt, config.dealias_fraction)
+    block = _block(state.grid, config.dealias_fraction)
+    decay_half, decay_full = block.decay(config.viscosity, dt)
 
     # minus the right-hand side; the sign is carried by the RK4 weights,
     # which flips no bit of the result

@@ -254,6 +254,19 @@ class TestSimulate:
         assert not out.exists()
         assert "t_end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+    def test_bad_blowup_threshold_rejected_before_output(self, tmp_path, capsys, threshold):
+        # the 16^3 Taylor-Green run that halts at threshold 0.5
+        cfg = write_config(
+            tmp_path,
+            f"[solver]\nn = 16\ndt = 1e-3\nt_end = 0.01\nblowup_threshold = {threshold}\n"
+            "initial_condition = taylor_green\n\n[diagnostics]\nq = 6.0\n",
+        )
+        out = tmp_path / "x"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "blowup_threshold" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_recomputes_identical_trace(self, taylor_green_run, tmp_path):

@@ -1,3 +1,7 @@
+import functools
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from conftest import hermitian_defect, reference_symbols, sample_scalar, sample_vector
@@ -23,7 +27,7 @@ from wlns.field import (
     write_snapshot,
     write_table,
 )
-from wlns.field import _forward, _inverse, _operators
+from wlns.field import _BLOCKS, _block, _forward
 
 
 def random_scalar(grid, seed=0, scale=1.0):
@@ -208,17 +212,20 @@ class TestKeptBlock:
         import scipy.fft
 
         grid = Grid(n=n)
-        block = _operators(grid).block(fraction)
+        block = _block(grid, fraction)
         rng = np.random.default_rng(n)
         shape = (*batch, *block.shape)
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         full = block.scatter(b)
         assert np.array_equal(block.gather(full), b)
-        want = scipy.fft.irfftn(full, s=grid.shape, axes=(-3, -2, -1), norm="forward")
-        assert np.array_equal(_inverse(grid, full), want)
-        assert np.array_equal(block.inverse(b), want)
+        inverse = functools.partial(
+            scipy.fft.irfftn, s=grid.shape, axes=(-3, -2, -1), norm="forward"
+        )
+        # the block of fraction 1 inverts the whole half spectrum
+        assert np.array_equal(_block(grid, 1.0).inverse(full), inverse(full))
+        assert np.array_equal(block.inverse(b), inverse(full))
         # a second call on the reused buffers sees nothing of the first
-        assert np.array_equal(block.inverse(0.5 * b), _inverse(grid, 0.5 * full))
+        assert np.array_equal(block.inverse(0.5 * b), inverse(0.5 * full))
 
         values = rng.standard_normal((*batch, *grid.shape))
         modes = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
@@ -232,11 +239,24 @@ class TestKeptBlock:
     @pytest.mark.parametrize("n", [8, 24, 48, 64])
     def test_block_is_the_dealias_mask(self, n, fraction):
         grid = Grid(n=n)
-        ops = _operators(grid)
-        block = ops.block(fraction)
+        block = _block(grid, fraction)
         assert np.array_equal(block.scatter(np.ones(block.shape)) == 1.0, block.mask)
         if fraction == 1.0:
             assert block.shape == (n, n, n // 2 + 1)
+
+    def test_cache_shares_equal_grids_and_keeps_none_alive(self):
+        # a length no other test uses, so this grid is the one the cache holds
+        grid = Grid(n=8, length=3.25)
+        block = _block(grid, 0.5)
+        assert _block(Grid(n=8, length=3.25), 0.5) is block
+        assert _block(grid, 1.0) is not block
+        assert _block(Grid(n=8, length=3.5), 0.5) is not block
+        alive = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert alive() is None
+        assert all(g.length != 3.25 for g in _BLOCKS.keys())
+        assert _block(Grid(n=8, length=3.25), 0.5) is not block
 
 
 class TestRescale:

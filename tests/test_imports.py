@@ -1,11 +1,19 @@
-"""Import boundaries: no subcommand loads scipy, and `import wlns` defers its submodules."""
+"""Import boundaries: no subcommand loads scipy, and `import wlns` defers its submodules.
 
+Also the package names the benchmark under ``perfbench/`` reaches: its
+``from wlns... import ...`` lines and the functions its traced runs wrap.
+"""
+
+import ast
+import importlib
 from pathlib import Path
 
 import pytest
 from conftest import imported_modules, run_python
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wlns" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "src" / "wlns" / "configs"
+PERFBENCH = ROOT / "perfbench"
 DEFERRED = ("scipy.fft", "scipy.integrate", "scipy.optimize")
 
 
@@ -52,3 +60,37 @@ def test_simulate_and_diagnose_load_no_scipy(tmp_path):
         imported = imported_modules(run_python("-X", "importtime", "-m", "wlns.cli", *args))
         assert module in imported
         assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+def _resolve(module: str, dotted: str):
+    owner = importlib.import_module(module)
+    for part in dotted.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_benchmark_imports_resolve():
+    names = [
+        (path.name, node.module, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wlns"
+        for alias in node.names
+    ]
+    assert names, "perfbench imports nothing from wlns"
+    for source, module, name in names:
+        assert _resolve(module, name) is not None, f"{source}: from {module} import {name}"
+
+
+def test_benchmark_instrumented_functions_resolve():
+    # read, not imported: perfbench/layers.py imports its siblings as top-level modules
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    (instrumented,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "INSTRUMENTED" for t in node.targets)
+    ]
+    assert instrumented
+    for module, attr in instrumented:
+        assert callable(_resolve(module, attr)), f"INSTRUMENTED entry {module}.{attr}"
