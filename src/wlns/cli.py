@@ -25,25 +25,6 @@ from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-def _resolve_thread_cap(threads: Optional[int]) -> Optional[int]:
-    """Resolve the thread cap (flag beats WLNS_THREADS).
-
-    The cap is validated and recorded in the manifest.  Every transform in
-    the package runs on one thread, so any cap >= 1 is met; outputs do not
-    depend on it.
-    """
-    if threads is None:
-        env = os.environ.get("WLNS_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise SystemExit(f"WLNS_THREADS must be an integer, got '{env}'")
-    if threads is not None and threads < 1:
-        raise SystemExit("thread cap must be >= 1")
-    return threads
-
-
 def _file_entry(out_dir: Path, name: str) -> dict:
     path, digest = out_dir / name, hashlib.sha256()
     with open(path, "rb") as fh:
@@ -64,7 +45,6 @@ class RunManifest:
     subcommand: str
     config: dict
     seed: Optional[int] = None
-    threads: Optional[int] = None
     halted: Optional[str] = None
     started_utc: str = ""
     finished_utc: str = ""
@@ -223,9 +203,7 @@ def _cmd_simulate(args) -> int:
     except (OSError, configparser.Error, ValueError) as exc:
         return _fail(str(exc))
 
-    manifest = RunManifest(
-        "simulate", snapshot, seed=seed, threads=args.threads_resolved
-    ).start(args.out)
+    manifest = RunManifest("simulate", snapshot, seed=seed).start(args.out)
     written = []
 
     def sink(t, u):
@@ -308,7 +286,6 @@ def _cmd_diagnose(args) -> int:
     manifest = RunManifest(
         "diagnose",
         {"snapshots": args.snapshots, "q": args.q, "cylinder_scale": args.cylinder_scale},
-        threads=args.threads_resolved,
     )
     rows = []
 
@@ -361,7 +338,6 @@ def _cmd_counterexample(args) -> int:
     manifest = RunManifest(
         "counterexample",
         {"q": args.q, "r": args.r, "terms": args.terms, "t_inf": args.t_inf},
-        threads=args.threads_resolved,
     ).start(args.out)
 
     write_schedule_csv(manifest.output("schedule.csv"), schedule, n_terms=args.terms, r=args.r)
@@ -443,7 +419,6 @@ def _cmd_gronwall(args) -> int:
     manifest = RunManifest(
         "gronwall",
         {"b_csv": args.b_csv, "C": args.C, "H0": args.H0, "dt": args.dt},
-        threads=args.threads_resolved,
     ).start(args.out)
     write_bound_csv(manifest.output("bound.csv"), solution, deviations)
     manifest.halted = solution.note or None
@@ -489,15 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wlns",
         description="Spectral Navier-Stokes toolbox: weak-norm criteria, "
         "level-set energies, the dyadic counterexample, and Gronwall bounds.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="upper bound on the threads a run may use (fallback: "
-        "WLNS_THREADS), recorded in the manifest; every transform in the "
-        "package runs on one thread, so any cap >= 1 is met and outputs are "
-        "identical for any cap",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -557,12 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        args.threads_resolved = _resolve_thread_cap(args.threads)
-    except SystemExit as exc:
-        return _fail(str(exc))
-    return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # argparse printed the usage; --help exits 0
+        return 1 if exc.code else 0
+    except (FileExistsError, NotADirectoryError) as exc:  # from RunManifest.start
+        return _fail(f"--out '{exc.filename}' is not a directory")
 
 
 if __name__ == "__main__":

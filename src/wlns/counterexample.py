@@ -390,6 +390,8 @@ def criterion_vs_lorentz(
     level/width floats are representable (roughly the first 16
     intervals); the two must agree where both exist.
     """
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"secondary exponent r must lie in (1, inf), got {r!r}")
     if checkpoints is None:
         ladder = [1, 2, 5, 10, 20, 40, 80, 160, 320, 640]
         checkpoints = sorted({n for n in ladder if n < n_terms} | {n_terms})

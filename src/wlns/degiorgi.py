@@ -99,11 +99,11 @@ class CylinderMap:
     def sim_radius(self, reference_radius: float) -> float:
         return self.scale * reference_radius
 
-    def validate(self, grid: Grid, outer_k: int = -1) -> None:
-        diameter = 2.0 * self.sim_radius(cylinder_radius(outer_k))
+    def validate(self, grid: Grid) -> None:
+        diameter = 2.0 * self.sim_radius(cylinder_radius(-1))
         if diameter > grid.length + 1e-12:
             raise ValueError(
-                f"mapped B({outer_k}) has diameter {diameter:.4g} exceeding the "
+                f"mapped B(-1) has diameter {diameter:.4g} exceeding the "
                 f"box length {grid.length:.4g}; shrink the scale"
             )
 

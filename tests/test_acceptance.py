@@ -339,14 +339,14 @@ def test_ac13_determinism(tmp_path):
         "[output]\nwrite_snapshots = false\n"
     )
     traces = []
-    for i, threads in enumerate(("1", "1", "1", "4", "4", "4")):
+    for i in range(6):
         out = tmp_path / f"out{i}"
-        code = cli_main(["--threads", threads, "simulate", str(cfg), "--out", str(out)])
+        code = cli_main(["simulate", str(cfg), "--out", str(out)])
         assert code == 0
         traces.append((out / "trace.csv").read_bytes())
     identical = all(t == traces[0] for t in traces)
     check(
         "AC13 determinism",
         identical,
-        "trace CSVs byte-identical over 3 runs x 2 thread caps (seed 7)",
+        "trace CSVs byte-identical over 6 runs (seed 7)",
     )

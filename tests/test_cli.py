@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import imported_modules, run_python
 
 from wlns.cli import main
 from wlns.criteria import CriterionTrace
@@ -89,9 +88,9 @@ class TestSimulate:
     def test_determinism_across_runs_and_threads(self, tmp_path):
         cfg = write_config(tmp_path, RANDOM_CFG)
         traces = []
-        for i, threads in enumerate(("1", "1", "4")):
+        for i in range(3):
             out = tmp_path / f"out{i}"
-            code = main(["--threads", threads, "simulate", str(cfg), "--out", str(out)])
+            code = main(["simulate", str(cfg), "--out", str(out)])
             assert code == 0
             traces.append((out / "trace.csv").read_bytes())
         assert traces[0] == traces[1] == traces[2]
@@ -493,6 +492,13 @@ class TestCounterexample:
         assert main(["counterexample", "--q", "3", "--out", str(tmp_path)]) == 1
         assert "q" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r", ["0.5", "1", "inf", "nan"])
+    def test_secondary_exponent_rejected_before_output(self, r, tmp_path, capsys):
+        out = tmp_path / "cx"
+        assert main(["counterexample", "--r", r, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: secondary exponent r must lie in (1, inf)")
+        assert not out.exists()
+
 
 class TestRecursive:
     def test_convergent_run(self, capsys):
@@ -596,32 +602,53 @@ class TestGronwall:
         assert tables[0] == tables[1]
 
 
-class TestThreads:
-    def test_cap_is_recorded_and_loads_no_scipy(self, tmp_path):
-        # every transform runs on one thread, so the cap needs no scipy.fft workers
-        cfg = write_config(tmp_path, RANDOM_CFG)
-        out = tmp_path / "o"
-        argv = ["-X", "importtime", "-m", "wlns.cli", "--threads", "3", "simulate", str(cfg)]
-        imported = imported_modules(run_python(*argv, "--out", str(out)))
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 3
-        assert [name for name in imported if name.split(".")[0] == "scipy"] == []
-
-    def test_cap_leaves_environment_unchanged(self, monkeypatch):
+class TestUsage:
+    def test_leaves_environment_unchanged(self, monkeypatch):
         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         before = dict(os.environ)
-        assert main(["--threads", "3", "recursive", "--C", "2", "--beta", "2", "--w0", "0.1"]) == 0
+        assert main(["recursive", "--C", "2", "--beta", "2", "--w0", "0.1"]) == 0
         assert dict(os.environ) == before
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WLNS_THREADS", "2")
-        cfg = write_config(tmp_path, RANDOM_CFG)
-        out = tmp_path / "env_out"
-        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["simulate", "run.cfg", "--out", "o", "--bogus"],
+            ["recursive", "--C", "two", "--beta", "2", "--w0", "0.1"],
+            ["--threads", "3", "recursive", "--C", "2", "--beta", "2", "--w0", "0.1"],
+        ],
+        ids=["missing-args", "unknown-flag", "bad-number", "removed-threads"],
+    )
+    def test_usage_error_exits_one(self, argv, capsys):
+        # exit code 2 is kept for a halted run
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
 
-    def test_bad_env_value(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("WLNS_THREADS", "lots")
-        assert main(["recursive", "--C", "2", "--beta", "2", "--w0", "0.1"]) == 1
-        assert "WLNS_THREADS" in capsys.readouterr().err
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "simulate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "diagnose", "counterexample", "gronwall"])
+    def test_out_naming_a_file(self, subcommand, taylor_green_run, tmp_path, capsys):
+        b = tmp_path / "b.csv"
+        b.write_text("t,B\n0.0,1.0\n1.0,0.0\n")
+        cfg = write_config(tmp_path, RANDOM_CFG)
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        argv = {
+            "simulate": ["simulate", str(cfg)],
+            "diagnose": ["diagnose", str(taylor_green_run), "--q", "6"],
+            "counterexample": ["counterexample", "--terms", "4"],
+            "gronwall": ["gronwall", str(b)],
+        }[subcommand]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out '{out}' is not a directory\n"
+        assert out.read_text() == "keep me\n"
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        out = taken / "cx"
+        assert main(["counterexample", "--terms", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out '{out}' is not a directory\n"
