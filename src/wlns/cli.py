@@ -170,6 +170,8 @@ def _load_run_config(path: str):
     if parser.has_section("output"):
         out = parser["output"]
         prefix = out.get("prefix", "run").strip()
+        if {os.sep, os.altsep} & set(prefix):
+            raise ValueError(f"[output] prefix must not contain a path separator, got '{prefix}'")
         write_snapshots = pick(out, "write_snapshots", _parse_bool, True)
 
     snapshot = {
@@ -454,7 +456,7 @@ run config keys ([solver] section):
   mode, direction    wavevector/direction triplets for single_mode
 
 [diagnostics] q      criterion exponent; enables the trace CSV
-[output] prefix      snapshot filename prefix (default run)
+[output] prefix      snapshot filename prefix, no path separator (default run)
 [output] write_snapshots   true/false (default true)
 """
 
@@ -525,11 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
     except SystemExit as exc:  # argparse printed the usage; --help exits 0
         return 1 if exc.code else 0
-    except (FileExistsError, NotADirectoryError) as exc:  # from RunManifest.start
-        return _fail(f"--out '{exc.filename}' is not a directory")
+    # before any work: RunManifest.start needs a directory, or a missing path below one
+    out = getattr(args, "out", None)
+    if out is not None:
+        existing = next(p for p in (Path(out), *Path(out).parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            return _fail(f"--out '{out}' is not a directory")
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -147,23 +147,19 @@ class WeakNormValues:
     log2_sup: float
 
 
-def closed_form_weak_norm(
-    schedule: DyadicSchedule, t: float, q: float | None = None
-) -> WeakNormValues:
+def closed_form_weak_norm(schedule: DyadicSchedule, t: float) -> WeakNormValues:
     """Weak-``L^q`` and sup norms of ``f(., t)`` in closed form.
 
     The bare ``A/(t_inf - t)^{1/p}`` expression suppresses a
     q-dependent constant; both it and the constant-corrected value are
     returned, with grid validation aimed at the corrected one.
     """
-    q = schedule.q if q is None else q
-    p = prodi_serrin_p(q)
     log2_a = amplitude_log2(schedule, t)
     if log2_a == -math.inf:
         return WeakNormValues(0.0, 0.0, 0.0, -math.inf, -math.inf, -math.inf)
     log2_s = math.log2(schedule.t_inf - t)
-    log2_literal = log2_a - log2_s / p
-    log2_corrected = log2_literal + math.log2(weak_norm_constant(q))
+    log2_literal = log2_a - log2_s / schedule.p
+    log2_corrected = log2_literal + math.log2(weak_norm_constant(schedule.q))
     log2_sup = log2_a - 0.5 * log2_s
     return WeakNormValues(
         literal=_exp2(log2_literal),

@@ -4,10 +4,9 @@ The scheme truncates ``|u|`` at thresholds climbing to 1 while the
 space-time cylinders shrink from ``(-1, 1] x B(1)`` to ``(-1/2, 1] x
 B(1/2)``; the combined energies ``U_k`` obey a superlinear recursion
 that forces them to zero when the starting energy is small.  This module
-computes the truncations, the dissipation densities, the ``U_k`` table
-for a stored trajectory (mapped into the box by the parabolic scaling),
-the localized energy budget against a smooth cutoff, and the recursion
-itself with its empirical convergence threshold.
+computes the ``U_k`` table for a stored trajectory (mapped into the box by
+the parabolic scaling), the localized energy budget against a smooth
+cutoff, and the recursion itself with its empirical convergence threshold.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import numpy as np
 from wlns.criteria import _cumulative_trapezoid
 from wlns.field import (
     Grid,
-    ScalarField,
     Trajectory,
-    VectorField,
     ball_boundary_cells,
     ball_mask,
     gradient_squares,
@@ -66,9 +63,6 @@ class CylinderScheme:
     def levels(self) -> range:
         return range(self.k_max + 1)
 
-    def window(self, k: int) -> tuple[float, float]:
-        return (truncation_time(k), 1.0)
-
 
 @dataclass(frozen=True)
 class CylinderMap:
@@ -108,38 +102,18 @@ class CylinderMap:
             )
 
 
-def truncate(u: VectorField | ScalarField, k: int) -> ScalarField:
-    """Excess of ``|u|`` over the k-th threshold, ``(|u| - theta_k)_+``."""
-    if k < 0:
-        raise ValueError("truncation level must be >= 0")
-    m = u.magnitude() if isinstance(u, VectorField) else u
-    return ScalarField(m.grid, np.maximum(np.abs(m.values) - truncation_threshold(k), 0.0))
-
-
 def _density(k: int, m, v, grad2, mag_grad2) -> np.ndarray:
-    """``d_k^2`` for ``k >= 1`` from ``|u|``, ``v_k``, ``|grad u|^2``, ``|grad|u||^2``."""
+    """``d_k^2`` for ``k >= 1`` from ``|u|``, ``v_k``, ``|grad u|^2``, ``|grad|u||^2``.
+
+    ``d_k^2 = (v_k/|u|) |grad u|^2 + chi_{v_k>0} (theta_k/|u|) |grad|u||^2``,
+    zero wherever ``v_k = 0``; ``v_0/|u| -> 1`` at ``|u| -> 0`` makes
+    ``d_0^2 = |grad u|^2`` everywhere, which callers use directly.
+    """
     active = v > 0.0
     safe_m = np.where(active, m, 1.0)  # on the active set m >= theta_k > 0
     return np.where(
         active, (v * grad2 + truncation_threshold(k) * mag_grad2) / safe_m, 0.0
     )
-
-
-def dissipation_density(u: VectorField, k: int) -> ScalarField:
-    """Weighted gradient density ``d_k^2`` entering the dissipation term.
-
-    ``d_k^2 = (v_k/|u|) |grad u|^2 + chi_{v_k>0} (theta_k/|u|) |grad|u||^2``
-    with the conventions: zero wherever ``v_k = 0`` (for ``k >= 1``), and
-    ``v_0/|u| -> 1`` at ``|u| -> 0``, so ``d_0^2 = |grad u|^2`` everywhere.
-    """
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    grad2 = gradient_squares(u)
-    if k == 0:
-        return ScalarField(u.grid, grad2)
-    m = u.magnitude()
-    v = np.maximum(m.values - truncation_threshold(k), 0.0)
-    return ScalarField(u.grid, _density(k, m.values, v, grad2, gradient_squares(m)))
 
 
 @dataclass(frozen=True)

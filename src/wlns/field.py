@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import struct
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -218,7 +217,6 @@ class _Block:
     """
 
     def __init__(self, grid: Grid, fraction: float):
-        # plain values only: the cache entry must not keep the grid alive
         n = self.n = grid.n
         self.half = n // 2 + 1
         self.mask = _band_mask(grid.mode_numbers, fraction * n / 2.0, self.half)
@@ -266,9 +264,11 @@ class _Block:
 
     @cached_property
     def _lines(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y line buffers of :meth:`inverse`, sized for one field."""
-        sizes = ((self.shape[1], self.width), (self.n, self.half))
-        return tuple(np.zeros((self.n, *m), dtype=complex) for m in sizes)
+        """The x and y line buffers of :meth:`inverse`, sized for one field; one at fraction 1."""
+        x_lines = np.zeros((self.n, self.shape[1], self.width), dtype=complex)
+        if x_lines.shape == (self.n, self.n, self.half):
+            return x_lines, x_lines
+        return x_lines, np.zeros((self.n, self.n, self.half), dtype=complex)
 
     @cached_property
     def _columns(self) -> np.ndarray:
@@ -293,8 +293,8 @@ class _Block:
         """Real values of the half spectrum ``scatter(block)``; inverse of :func:`_forward`.
 
         Unscaled ``ifft`` along x, then y, then ``irfft`` along z, skipping
-        lines that stay zero, one field of a batch at a time through two
-        buffers sized for one field, so a call allocates little beyond its
+        lines that stay zero, one field of a batch at a time through the
+        buffers of :attr:`_lines`, so a call allocates little beyond its
         result.
         """
         x_lines, y_lines = self._lines
@@ -307,24 +307,25 @@ class _Block:
             for b, f in self._runs:
                 x_lines[f] = block[(*field, b)]
             np.fft.ifft(x_lines, axis=0, norm="forward", out=x_lines)
-            for b, f in self._runs:
-                y_kept[:, f] = x_lines[:, b]
+            if y_lines is not x_lines:
+                for b, f in self._runs:
+                    y_kept[:, f] = x_lines[:, b]
             np.fft.ifft(y_kept, axis=1, norm="forward", out=y_kept)
             np.fft.irfft(y_lines, n=self.n, axis=2, norm="forward", out=out[field])
         return out
 
 
-# one dict of blocks per grid, keyed by fraction; equal grids share it, and
-# it goes when the grid that made it is collected
-_BLOCKS: weakref.WeakKeyDictionary[Grid, dict[float, _Block]] = weakref.WeakKeyDictionary()
+# every block built, keyed by value, so equal grids share one and no ``Grid``
+# (with its cached coordinates) is kept alive
+_BLOCKS: dict[tuple[int, float, float], _Block] = {}
 
 
 def _block(grid: Grid, fraction: float) -> _Block:
     """The block of ``grid.dealias_mask(fraction)``, built once; fraction 1 is the half spectrum."""
-    blocks = _BLOCKS.setdefault(grid, {})
-    if fraction not in blocks:
-        blocks[fraction] = _Block(grid, fraction)
-    return blocks[fraction]
+    key = (grid.n, grid.length, fraction)
+    if key not in _BLOCKS:
+        _BLOCKS[key] = _Block(grid, fraction)
+    return _BLOCKS[key]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from wlns.field import ScalarField
 
 
-def _values_and_measure(f, region, cell_measure) -> tuple[np.ndarray, float]:
+def _values_and_measure(f, cell_measure) -> tuple[np.ndarray, float]:
     if isinstance(f, ScalarField):
         values = f.values
         measure = f.grid.cell_volume
@@ -29,11 +29,6 @@ def _values_and_measure(f, region, cell_measure) -> tuple[np.ndarray, float]:
         measure = 1.0 if cell_measure is None else float(cell_measure)
         if measure <= 0:
             raise ValueError("cell measure must be positive")
-    if region is not None:
-        region = np.asarray(region, dtype=bool)
-        if region.shape != values.shape:
-            raise ValueError("region mask shape does not match the data")
-        values = values[region]
     if not np.all(np.isfinite(values)):
         raise ValueError("norms are only defined for finite data")
     return np.abs(values.ravel()), measure
@@ -41,7 +36,7 @@ def _values_and_measure(f, region, cell_measure) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class DistributionFunction:
-    """Distribution function of ``|f|`` restricted to a region.
+    """Distribution function of ``|f|``.
 
     ``thresholds`` holds the distinct data levels in increasing order;
     ``measure_geq[i]`` is the measure of ``{|f| >= thresholds[i]}`` (the
@@ -57,8 +52,8 @@ class DistributionFunction:
     total_measure: float
 
     @classmethod
-    def from_data(cls, f, region=None, cell_measure=None) -> "DistributionFunction":
-        absv, measure = _values_and_measure(f, region, cell_measure)
+    def from_data(cls, f, cell_measure=None) -> "DistributionFunction":
+        absv, measure = _values_and_measure(f, cell_measure)
         levels, counts = np.unique(absv, return_counts=True)
         # cumulative count of cells at or above each level
         geq = np.cumsum(counts[::-1])[::-1].astype(np.float64) * measure
@@ -122,12 +117,12 @@ class NormReport:
     domain_measure: float
 
 
-def distribution(f, alpha: float, region=None, cell_measure=None) -> float:
-    """Measure of ``{|f| > alpha}``; an empty region simply measures 0."""
-    return DistributionFunction.from_data(f, region, cell_measure)(alpha)
+def distribution(f, alpha: float, cell_measure=None) -> float:
+    """Measure of ``{|f| > alpha}``; empty data simply measures 0."""
+    return DistributionFunction.from_data(f, cell_measure)(alpha)
 
 
-def weak_norm(f, q: float, region=None, cell_measure=None) -> NormReport:
+def weak_norm(f, q: float, cell_measure=None) -> NormReport:
     """Weak-``L^q`` quasinorm ``sup_a a * measure{|f| > a}^(1/q)``.
 
     On a simple function the supremum is attained as a left limit at one
@@ -136,20 +131,20 @@ def weak_norm(f, q: float, region=None, cell_measure=None) -> NormReport:
     """
     if not q > 0:
         raise ValueError("weak norm exponent must be positive")
-    dist = DistributionFunction.from_data(f, region, cell_measure)
+    dist = DistributionFunction.from_data(f, cell_measure)
     return NormReport("weak", q, None, dist.weak_max(q), dist.total_measure)
 
 
-def lebesgue_norm(f, p: float, region=None, cell_measure=None) -> NormReport:
+def lebesgue_norm(f, p: float, cell_measure=None) -> NormReport:
     """Plain ``L^p`` norm by direct summation."""
     if not p > 0:
         raise ValueError("Lebesgue exponent must be positive")
-    absv, measure = _values_and_measure(f, region, cell_measure)
+    absv, measure = _values_and_measure(f, cell_measure)
     value = float((np.sum(absv**p) * measure) ** (1.0 / p)) if absv.size else 0.0
     return NormReport("lebesgue", p, None, value, absv.size * measure)
 
 
-def layer_cake(f, p: float, region=None, cell_measure=None) -> NormReport:
+def layer_cake(f, p: float, cell_measure=None) -> NormReport:
     """``L^p`` norm through the layer-cake identity.
 
     ``int |f|^p = p * int_0^inf a^(p-1) measure{|f| > a} da`` integrates
@@ -159,7 +154,7 @@ def layer_cake(f, p: float, region=None, cell_measure=None) -> NormReport:
     """
     if not p > 0:
         raise ValueError("Lebesgue exponent must be positive")
-    dist = DistributionFunction.from_data(f, region, cell_measure)
+    dist = DistributionFunction.from_data(f, cell_measure)
     levels = dist.thresholds
     if levels.size == 0:
         return NormReport("lebesgue", p, None, 0.0, 0.0)
@@ -255,7 +250,7 @@ def embedding_constant(p: float, r: float, eps: float) -> float:
 
 
 def compact_embedding_check(
-    f, p: float, r: float, eps: float, region=None, cell_measure=None
+    f, p: float, r: float, eps: float, cell_measure=None
 ) -> EmbeddingReport:
     """Evaluate both sides of the weak-norm embedding bounds.
 
@@ -267,9 +262,9 @@ def compact_embedding_check(
     with ``C(eps)`` from :func:`embedding_constant`.
     """
     c_eps = embedding_constant(p, r, eps)
-    weak_r = weak_norm(f, r, region, cell_measure)
-    weak_p = weak_norm(f, p, region, cell_measure)
-    strong = lebesgue_norm(f, p, region, cell_measure)
+    weak_r = weak_norm(f, r, cell_measure)
+    weak_p = weak_norm(f, p, cell_measure)
+    strong = lebesgue_norm(f, p, cell_measure)
     mu = weak_r.domain_measure
     c_region = mu ** (1.0 / p - 1.0 / r) if mu > 0 else 0.0
     return EmbeddingReport(
@@ -335,9 +330,7 @@ def split_constants(r: float, r1: float, r2: float) -> tuple[float, float]:
     return c_high, c_low
 
 
-def lemma_split_check(
-    f, r: float, r1: float, r2: float, region=None, cell_measure=None
-) -> SplitReport:
+def lemma_split_check(f, r: float, r1: float, r2: float, cell_measure=None) -> SplitReport:
     """Check the dyadic bounds controlling a unit-level split by ``|f|``.
 
     The part above level one obeys
@@ -350,7 +343,7 @@ def lemma_split_check(
         ``int |f_low|^{r2} <= C(r, r2) ||f||^r_{r,w}``.
     """
     c_high, c_low = split_constants(r, r1, r2)
-    absv, measure = _values_and_measure(f, region, cell_measure)
+    absv, measure = _values_and_measure(f, cell_measure)
     high = absv[absv >= 1.0]
     low = absv[absv < 1.0]
     high_power = float(np.sum(high**r1) * measure)

@@ -266,6 +266,23 @@ class TestSimulate:
         assert not out.exists()
         assert "blowup_threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["../escaped", "sub/run", "manifest.json/x"])
+    def test_prefix_with_path_separator_rejected_before_output(self, tmp_path, capsys, prefix):
+        cfg = write_config(
+            tmp_path, f"[solver]\nn = 8\nt_end = 0.002\n\n[output]\nprefix = {prefix}\n"
+        )
+        fresh = tmp_path / "fresh"
+        assert main(["simulate", str(cfg), "--out", str(fresh)]) == 1
+        assert not fresh.exists()
+        # into the directory of a finished run, nothing is written in or next to it
+        done = tmp_path / "done"
+        done.mkdir()
+        (done / "manifest.json").write_text("{}\n")
+        assert main(["simulate", str(cfg), "--out", str(done)]) == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["done", "manifest.json", "run.cfg"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("[output] prefix" in line for line in err)
+
 
 class TestDiagnose:
     def test_recomputes_identical_trace(self, taylor_green_run, tmp_path):
@@ -602,6 +619,10 @@ class TestGronwall:
         assert tables[0] == tables[1]
 
 
+def read_before_out_check(path):
+    raise AssertionError(f"{path} was read before --out was checked")
+
+
 class TestUsage:
     def test_leaves_environment_unchanged(self, monkeypatch):
         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -630,7 +651,9 @@ class TestUsage:
         assert "simulate" in capsys.readouterr().out
 
     @pytest.mark.parametrize("subcommand", ["simulate", "diagnose", "counterexample", "gronwall"])
-    def test_out_naming_a_file(self, subcommand, taylor_green_run, tmp_path, capsys):
+    def test_out_naming_a_file(self, subcommand, taylor_green_run, tmp_path, capsys, monkeypatch):
+        # --out is checked before diagnose reads a single snapshot
+        monkeypatch.setattr("wlns.field.read_vector_snapshot", read_before_out_check)
         b = tmp_path / "b.csv"
         b.write_text("t,B\n0.0,1.0\n1.0,0.0\n")
         cfg = write_config(tmp_path, RANDOM_CFG)
@@ -646,9 +669,12 @@ class TestUsage:
         assert capsys.readouterr().err == f"error: --out '{out}' is not a directory\n"
         assert out.read_text() == "keep me\n"
 
-    def test_out_below_a_file(self, tmp_path, capsys):
+    def test_out_below_a_file(self, taylor_green_run, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("wlns.field.read_vector_snapshot", read_before_out_check)
         taken = tmp_path / "taken"
         taken.write_text("keep me\n")
         out = taken / "cx"
-        assert main(["counterexample", "--terms", "4", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: --out '{out}' is not a directory\n"
+        diagnose = ["diagnose", str(taylor_green_run), "--q", "6"]
+        for argv in (["counterexample", "--terms", "4"], diagnose):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: --out '{out}' is not a directory\n"

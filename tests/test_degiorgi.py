@@ -13,12 +13,10 @@ from wlns.degiorgi import (
     budget_cutoff,
     critical_w0_closed_form,
     cylinder_radius,
-    dissipation_density,
     energy_budget,
     level_energy,
     recursive_sequence,
     threshold_scan,
-    truncate,
     truncation_threshold,
     truncation_time,
     window_times,
@@ -78,8 +76,6 @@ class TestCylinderGeometry:
     def test_scheme_windows(self):
         scheme = CylinderScheme(k_max=3)
         assert list(scheme.levels) == [0, 1, 2, 3]
-        assert scheme.window(0) == (-1.0, 1.0)
-        assert scheme.window(1) == (-0.75, 1.0)
         with pytest.raises(ValueError):
             CylinderScheme(k_max=-1)
 
@@ -100,35 +96,6 @@ class TestCylinderGeometry:
             CylinderMap(center=(0.0,) * 3, scale=-1.0, t_end=0.0)
 
 
-class TestTruncate:
-    @pytest.mark.parametrize(
-        "value,k,expected",
-        [(0.4, 1, 0.0), (2.0, 0, 2.0), (0.9, 2, 0.15)],
-    )
-    def test_constant_levels(self, value, k, expected):
-        grid = Grid(8)
-        u = vector_of(grid, value, 0.0, 0.0)
-        v = truncate(u, k)
-        assert np.allclose(v.values, expected, atol=1e-14)
-
-    def test_rejects_negative_level(self):
-        grid = Grid(8)
-        with pytest.raises(ValueError):
-            truncate(vector_of(grid, 1.0, 0.0, 0.0), -1)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_monotone_in_k_with_nested_support(self, seed):
-        rng = np.random.default_rng(seed)
-        grid = Grid(12)
-        u = vector_of(grid, *rng.lognormal(size=(3,) + grid.shape))
-        previous = truncate(u, 0)
-        for k in range(1, 6):
-            current = truncate(u, k)
-            assert np.all(current.values <= previous.values + 1e-15)
-            assert np.all((current.values > 0) <= (previous.values > 0))
-            previous = current
-
-
 def numpy_spectral_gradient(values: np.ndarray, length: float) -> list[np.ndarray]:
     """Derivatives straight from numpy's FFT, bypassing the field helpers.
 
@@ -140,19 +107,29 @@ def numpy_spectral_gradient(values: np.ndarray, length: float) -> list[np.ndarra
     return [np.real(np.fft.ifftn(1j * k * modes)) for k in symbols]
 
 
+def grid_density(u: VectorField, k: int) -> np.ndarray:
+    """``d_k^2`` on the whole grid through the helper ``level_energy`` uses."""
+    grad2 = gradient_squares(u)
+    if k == 0:
+        return grad2
+    m = u.magnitude()
+    v = np.maximum(m.values - truncation_threshold(k), 0.0)
+    return _density(k, m.values, v, grad2, gradient_squares(m))
+
+
 class TestDissipationDensity:
     def test_constant_field_vanishes(self):
         grid = Grid(8)
         u = vector_of(grid, 0.7, -0.2, 0.1)
         for k in (0, 1, 3):
-            assert np.allclose(dissipation_density(u, k).values, 0.0, atol=1e-12)
+            assert np.allclose(grid_density(u, k), 0.0, atol=1e-12)
 
     def test_subthreshold_field_vanishes(self):
         grid = Grid(16)
         x = grid.coordinates[0]
         u = vector_of(grid, 0.2 * np.sin(x), 0.0, 0.0)  # magnitude <= 0.2 < 1/2
-        assert np.allclose(dissipation_density(u, 1).values, 0.0)
-        assert np.any(dissipation_density(u, 0).values > 0)
+        assert np.allclose(grid_density(u, 1), 0.0)
+        assert np.any(grid_density(u, 0) > 0)
 
     def test_positive_radial_profile(self):
         # u = (2 + cos x, 0, 0): |u| = 2 + cos x >= 1 exceeds every threshold,
@@ -163,7 +140,7 @@ class TestDissipationDensity:
         u = vector_of(grid, 2.0 + np.cos(x), 0.0, 0.0)
         for k in (0, 1, 4):
             np.testing.assert_allclose(
-                dissipation_density(u, k).values, np.sin(x) ** 2, atol=1e-10
+                grid_density(u, k), np.sin(x) ** 2, atol=1e-10
             )
 
     def test_rotating_direction_constant_magnitude(self):
@@ -175,7 +152,7 @@ class TestDissipationDensity:
         m = math.sqrt(2.0)
         for k in (1, 2):
             expected = (m - truncation_threshold(k)) / m
-            np.testing.assert_allclose(dissipation_density(u, k).values, expected, atol=1e-12)
+            np.testing.assert_allclose(grid_density(u, k), expected, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_single_mode_field_against_direct_formula(self, k):
@@ -198,7 +175,7 @@ class TestDissipationDensity:
         else:
             expected = np.where(v > 0, (v * grad2 + theta * mag_grad2) / magnitude, 0.0)
         np.testing.assert_allclose(
-            dissipation_density(u, k).values, expected, rtol=1e-11, atol=1e-13
+            grid_density(u, k), expected, rtol=1e-11, atol=1e-13
         )
 
 

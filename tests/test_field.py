@@ -255,8 +255,8 @@ class TestKeptBlock:
         del grid
         gc.collect()
         assert alive() is None
-        assert all(g.length != 3.25 for g in _BLOCKS.keys())
-        assert _block(Grid(n=8, length=3.25), 0.5) is not block
+        assert not any(isinstance(part, Grid) for key in _BLOCKS for part in key)
+        assert _block(Grid(n=8, length=3.25), 0.5) is block
 
 
 class TestRescale:

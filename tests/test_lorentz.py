@@ -59,8 +59,8 @@ class TestDistribution:
         g = Grid(n=8)
         f = ScalarField(g, np.ones((8, 8, 8)))
         empty = np.zeros((8, 8, 8), dtype=bool)
-        assert distribution(f, 0.5, region=empty) == 0.0
-        rep = weak_norm(f, 2.0, region=empty)
+        assert distribution(f.values[empty], 0.5, cell_measure=g.cell_volume) == 0.0
+        rep = weak_norm(f.values[empty], 2.0, cell_measure=g.cell_volume)
         assert rep.value == 0.0 and rep.domain_measure == 0.0
 
 
@@ -248,7 +248,9 @@ class TestEmbedding:
         rng = np.random.default_rng(5)
         f = ScalarField(g, np.abs(rng.standard_normal((16,) * 3)))
         mask = ball_mask(g, (np.pi, np.pi, np.pi), 1.5)
-        rep = compact_embedding_check(f, p=2.0, r=3.0, eps=0.25, region=mask)
+        rep = compact_embedding_check(
+            f.values[mask], p=2.0, r=3.0, eps=0.25, cell_measure=g.cell_volume
+        )
         assert rep.passed
         assert rep.domain_measure == pytest.approx(
             np.count_nonzero(mask) * g.cell_volume
