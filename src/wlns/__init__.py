@@ -4,137 +4,62 @@ The package bundles a small pseudo-spectral solver with the measure-theoretic
 machinery (weak Lebesgue / Lorentz norms, level-set energies, log-damped
 Gronwall bounds) needed to evaluate blow-up criteria along a simulated or
 closed-form velocity history.
+
+``import wlns`` loads no submodule: each public name below is imported from
+its submodule on first access (PEP 562), so a grid-free caller such as
+``wlns gronwall`` never pays for the solver.
 """
 
-from wlns.field import (
-    Grid,
-    ScalarField,
-    SpectralField,
-    Trajectory,
-    VectorField,
-    ball_mask,
-    divergence,
-    forward_transform,
-    gradient,
-    inverse_transform,
-    laplacian,
-    read_snapshot,
-    rescale,
-    write_snapshot,
-)
-from wlns.lorentz import (
-    DistributionFunction,
-    NormReport,
-    compact_embedding_check,
-    distribution,
-    layer_cake,
-    lebesgue_norm,
-    lemma_split_check,
-    lorentz_time_norm,
-    split_at_one,
-    weak_norm,
-)
-from wlns.criteria import (
-    CriterionTrace,
-    DerivedExponents,
-    derive_exponents,
-    evaluate_row,
-    holder_check,
-    prodi_serrin_p,
-)
-from wlns.nse_solver import (
-    BlowUpError,
-    SimulationResult,
-    SolverConfig,
-    energy_residual,
-    kinetic_energy,
-    pressure_from_velocity,
-    random_divfree,
-    run,
-    single_mode,
-    taylor_green,
-)
-from wlns.degiorgi import (
-    CylinderMap,
-    CylinderScheme,
-    LevelSetEnergy,
-    energy_budget,
-    level_energy,
-    recursive_sequence,
-    threshold_scan,
-)
-from wlns.counterexample import (
-    CounterexampleField,
-    DyadicSchedule,
-    claim1_terms,
-    claim2_lower_bound,
-    criterion_vs_lorentz,
-)
-from wlns.gronwall import (
-    BoundProblem,
-    implicit_check,
-    psi_tail,
-    solve_bound,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Grid",
-    "ScalarField",
-    "VectorField",
-    "SpectralField",
-    "Trajectory",
-    "forward_transform",
-    "inverse_transform",
-    "gradient",
-    "divergence",
-    "laplacian",
-    "rescale",
-    "ball_mask",
-    "write_snapshot",
-    "read_snapshot",
-    "DistributionFunction",
-    "NormReport",
-    "distribution",
-    "weak_norm",
-    "lebesgue_norm",
-    "layer_cake",
-    "lorentz_time_norm",
-    "compact_embedding_check",
-    "split_at_one",
-    "lemma_split_check",
-    "CriterionTrace",
-    "DerivedExponents",
-    "derive_exponents",
-    "evaluate_row",
-    "holder_check",
-    "prodi_serrin_p",
-    "BlowUpError",
-    "SimulationResult",
-    "SolverConfig",
-    "energy_residual",
-    "kinetic_energy",
-    "pressure_from_velocity",
-    "random_divfree",
-    "run",
-    "single_mode",
-    "taylor_green",
-    "CylinderMap",
-    "CylinderScheme",
-    "LevelSetEnergy",
-    "energy_budget",
-    "level_energy",
-    "recursive_sequence",
-    "threshold_scan",
-    "CounterexampleField",
-    "DyadicSchedule",
-    "claim1_terms",
-    "claim2_lower_bound",
-    "criterion_vs_lorentz",
-    "BoundProblem",
-    "implicit_check",
-    "psi_tail",
-    "solve_bound",
-    "__version__",
-]
+# submodule -> the public names it exports at the package level
+_EXPORTS = {
+    "field": (
+        "Grid", "ScalarField", "VectorField", "SpectralField", "Trajectory",
+        "forward_transform", "inverse_transform", "gradient", "divergence", "laplacian",
+        "rescale", "ball_mask", "write_snapshot", "read_snapshot",
+    ),
+    "lorentz": (
+        "DistributionFunction", "NormReport", "distribution", "weak_norm", "lebesgue_norm",
+        "layer_cake", "lorentz_time_norm", "compact_embedding_check", "split_at_one",
+        "lemma_split_check",
+    ),
+    "criteria": (
+        "CriterionTrace", "DerivedExponents", "derive_exponents", "evaluate_row",
+        "holder_check", "prodi_serrin_p",
+    ),
+    "nse_solver": (
+        "BlowUpError", "SimulationResult", "SolverConfig", "energy_residual",
+        "kinetic_energy", "pressure_from_velocity", "random_divfree", "run",
+        "single_mode", "taylor_green",
+    ),
+    "degiorgi": (
+        "CylinderMap", "CylinderScheme", "LevelSetEnergy", "energy_budget", "level_energy",
+        "recursive_sequence", "threshold_scan",
+    ),
+    "counterexample": (
+        "CounterexampleField", "DyadicSchedule", "claim1_terms", "claim2_lower_bound",
+        "criterion_vs_lorentz",
+    ),
+    "gronwall": ("BoundProblem", "implicit_check", "psi_tail", "solve_bound"),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

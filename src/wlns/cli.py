@@ -111,6 +111,7 @@ def _load_run_config(path: str):
     Raises ValueError with a section/key-qualified message on bad values;
     syntax errors surface as configparser errors that carry line numbers.
     """
+    from wlns.criteria import prodi_serrin_p
     from wlns.field import Grid
     from wlns.nse_solver import SolverConfig, random_divfree, single_mode, taylor_green
 
@@ -165,6 +166,11 @@ def _load_run_config(path: str):
     q = None
     if parser.has_section("diagnostics"):
         q = pick(parser["diagnostics"], "q", float, None)
+        if q is not None:
+            try:
+                prodi_serrin_p(q)
+            except ValueError as exc:
+                raise ValueError(f"[diagnostics] {exc}") from None
 
     prefix, write_snapshots = "run", True
     if parser.has_section("output"):
@@ -455,7 +461,7 @@ run config keys ([solver] section):
   max_mode           band limit for random (default n/4)
   mode, direction    wavevector/direction triplets for single_mode
 
-[diagnostics] q      criterion exponent; enables the trace CSV
+[diagnostics] q      criterion exponent in (3, 9); enables the trace CSV
 [output] prefix      snapshot filename prefix, no path separator (default run)
 [output] write_snapshots   true/false (default true)
 """

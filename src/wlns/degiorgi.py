@@ -70,10 +70,11 @@ class CylinderMap:
 
     Reference coordinates ``(tau, xi)`` map to ``t = t_end + scale^2 *
     (tau - 1)`` and ``x = center + scale * xi``, the parabolic scaling
-    that carries solutions to solutions.  The map refuses geometry that
-    does not fit in the box: the outermost ball ``B(-1)`` has reference
-    radius 4.5 and wrapping it around the torus would silently change
-    the localization.
+    that carries solutions to solutions.  The balls wrap around the
+    periodic box, as the budget's cutoff does, so any finite center works;
+    the map refuses geometry that does not fit in the box: the outermost
+    ball ``B(-1)`` has reference radius 4.5 and a diameter beyond the box
+    length would make it overlap itself.
     """
 
     center: tuple[float, float, float]
@@ -83,6 +84,8 @@ class CylinderMap:
     def __post_init__(self):
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError("scale must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
 
     def sim_time(self, tau: float) -> float:
         return self.t_end + self.scale**2 * (tau - 1.0)

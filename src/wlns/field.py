@@ -161,7 +161,7 @@ class VectorField:
         return (self.u1, self.u2, self.u3)
 
     def as_array(self) -> np.ndarray:
-        """Stacked ``(3, n, n, n)`` view of the component values."""
+        """Stacked ``(3, n, n, n)`` copy of the component values."""
         return np.stack([c.values for c in self.components])
 
     def magnitude(self) -> ScalarField:
@@ -475,19 +475,28 @@ def rescale_profile(
     return zoomed
 
 
+def _min_image(grid: Grid, center: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Displacements from ``center`` folded to ``[-L/2, L/2)``, one per axis.
+
+    Each is folded along its axis' ``n`` coordinates only, shaped ``(n, 1, 1)``,
+    ``(1, n, 1)`` and ``(1, 1, n)`` to broadcast to the grid.
+    """
+    half = grid.length / 2.0
+    x = grid.axis_coordinates
+    folded = [(x - c + half) % grid.length - half for c in center]
+    return np.meshgrid(*folded, indexing="ij", sparse=True)
+
+
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
-    """Cells whose centers lie in the (non-wrapping) ball of given radius."""
-    X, Y, Z = grid.coordinates
-    cx, cy, cz = center
-    dist2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
-    return dist2 <= radius**2
+    """Cells whose centers lie in the ball of given radius, wrapped around the box."""
+    dx, dy, dz = _min_image(grid, center)
+    return dx**2 + dy**2 + dz**2 <= radius**2
 
 
 def ball_boundary_cells(grid: Grid, center: Sequence[float], radius: float) -> int:
     """Count of cells straddling the sphere, for volume error brackets."""
-    X, Y, Z = grid.coordinates
-    cx, cy, cz = center
-    dist = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2)
+    dx, dy, dz = _min_image(grid, center)
+    dist = np.sqrt(dx**2 + dy**2 + dz**2)
     half_diag = 0.5 * np.sqrt(3.0) * grid.spacing
     return int(np.count_nonzero(np.abs(dist - radius) <= half_diag))
 

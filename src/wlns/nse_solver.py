@@ -34,6 +34,7 @@ from wlns.field import (
     _band_mask,
     _block,
     _forward,
+    _min_image,
     gradient_squares,
 )
 
@@ -461,17 +462,6 @@ def constant_one() -> CutoffFunction:
     )
 
 
-def _min_image(grid: Grid, center: Sequence[float]) -> np.ndarray:
-    """Displacements from ``center`` folded to ``[-L/2, L/2)`` per axis."""
-    half = grid.length / 2.0
-    return np.stack(
-        [
-            (grid.coordinates[i] - center[i] + half) % grid.length - half
-            for i in range(3)
-        ]
-    )
-
-
 def smoothstep_down(s: np.ndarray) -> np.ndarray:
     """Quintic ramp: 1 for s <= 0, 0 for s >= 1, C^2 across the joins."""
     s = np.clip(s, 0.0, 1.0)
@@ -511,8 +501,9 @@ def cylinder_cutoff(
     def radial_parts(grid):
         """Time-independent radial factors, built once per grid."""
         if grid not in radial_cache:
-            d = _min_image(grid, center)
-            rho = np.sqrt(np.sum(d**2, axis=0))
+            dx, dy, dz = _min_image(grid, center)
+            rho = np.sqrt(dx**2 + dy**2 + dz**2)
+            d = np.stack(np.broadcast_arrays(dx, dy, dz))
             s = (rho - r_inner) / dr
             R = smoothstep_down(s)
             R1 = smoothstep_down_d1(s) / dr

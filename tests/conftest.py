@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField, _forward
+from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField, _forward, _min_image
 from wlns.gronwall import _logaddexp1
-from wlns.nse_solver import _PAIRS, CutoffFunction, _min_image, leray_project, nonlinear_term
+from wlns.nse_solver import _PAIRS, CutoffFunction, leray_project, nonlinear_term
 
 
 def reference_symbols(n: int, length: float):
@@ -159,7 +159,7 @@ def gaussian_bump(center: Sequence[float], width: float) -> CutoffFunction:
         raise ValueError("width must be positive")
 
     def displacement(grid):
-        return _min_image(grid, center)
+        return np.stack(np.broadcast_arrays(*_min_image(grid, center)))
 
     def value(grid, t):
         d = displacement(grid)

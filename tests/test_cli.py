@@ -266,6 +266,18 @@ class TestSimulate:
         assert not out.exists()
         assert "blowup_threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["10.0", "3", "nan"])
+    def test_bad_diagnostics_q_rejected_before_output(self, tmp_path, capsys, q):
+        cfg = write_config(
+            tmp_path,
+            f"[solver]\nn = 8\nt_end = 0.002\n\n[diagnostics]\nq = {q}\n\n"
+            "[output]\nprefix = tg\n",
+        )
+        out = tmp_path / "x"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "[diagnostics] q must lie in (3, 9)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("prefix", ["../escaped", "sub/run", "manifest.json/x"])
     def test_prefix_with_path_separator_rejected_before_output(self, tmp_path, capsys, prefix):
         cfg = write_config(
@@ -408,8 +420,10 @@ class TestDiagnose:
              "error: --cylinder-center needs three comma-separated values, got '1,2'\n"),
             (["--cylinder-scale", "5"], "shrink the scale"),
             (["--cylinder-scale", "-0.3"], "error: scale must be positive\n"),
+            (["--cylinder-scale", "0.3", "--cylinder-center", "nan,1,1"],
+             "error: center must be finite, got (nan, 1.0, 1.0)\n"),
         ],
-        ids=["center", "too-large", "negative"],
+        ids=["center", "too-large", "negative", "non-finite-center"],
     )
     def test_bad_cylinder_rejected_before_output(
         self, taylor_green_run, tmp_path, capsys, extra, message

@@ -1,5 +1,6 @@
 """Tests for level-set truncation energies and the superlinear recursion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -91,9 +92,12 @@ class TestCylinderGeometry:
         grid = Grid(16)  # length 2*pi < 9
         with pytest.raises(ValueError, match="diameter"):
             CylinderMap(center=(np.pi,) * 3, scale=1.0, t_end=1.0).validate(grid)
-        # and refuses nonsense scales outright
+        # and refuses nonsense scales and centers outright
         with pytest.raises(ValueError):
             CylinderMap(center=(0.0,) * 3, scale=-1.0, t_end=0.0)
+        for center in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)):
+            with pytest.raises(ValueError, match="center must be finite"):
+                CylinderMap(center=center, scale=0.3, t_end=1.0)
 
 
 def numpy_spectral_gradient(values: np.ndarray, length: float) -> list[np.ndarray]:
@@ -358,6 +362,55 @@ class TestLevelEnergyStream:
         sups, disses = whole_box_sums(result, scheme, cmap)
         assert np.array_equal(table.sup_term, sups)
         assert np.array_equal(table.diss_term, disses)
+
+
+@pytest.fixture(scope="module")
+def rolled_run_32(strong_run_32):
+    """``strong_run_32`` with every snapshot rolled by n/2 cells, the box center to the origin."""
+    half = strong_run_32.grid.n // 2
+    snapshots = [
+        VectorField.from_arrays(strong_run_32.grid, *np.roll(u.as_array(), half, axis=(1, 2, 3)))
+        for u in strong_run_32.snapshots
+    ]
+    return dataclasses.replace(strong_run_32, snapshots=snapshots)
+
+
+def cylinder_maps(result, scale):
+    """The map centred in the box and the same map centred at the origin."""
+    centred = CylinderMap(center=(math.pi,) * 3, scale=scale, t_end=float(result.times[-1]))
+    return centred, dataclasses.replace(centred, center=(0.0,) * 3)
+
+
+def assert_relative_close(got, want, scale=None):
+    """``got`` within 1e-12 of ``want``, relative to ``scale`` (default: ``want`` itself)."""
+    scale = want if scale is None else scale
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(scale))
+
+
+class TestWrappedBalls:
+    """The balls wrap around the box: a cylinder at the origin sees the rolled field whole."""
+
+    @pytest.mark.parametrize("scale", [0.4, 0.65])
+    def test_level_energy_at_origin(self, strong_run_32, rolled_run_32, scale):
+        centred, origin = cylinder_maps(strong_run_32, scale)
+        scheme = CylinderScheme(5)
+        want = level_energy(strong_run_32, scheme, centred)
+        got = level_energy(rolled_run_32, scheme, origin)
+        assert np.count_nonzero(want.sup_term) >= 3
+        for name, column in vars(want).items():
+            assert_relative_close(getattr(got, name), column)
+
+    @pytest.mark.parametrize("scale", [0.4, 0.65])
+    def test_energy_budget_at_origin(self, strong_run_32, rolled_run_32, scale):
+        centred, origin = cylinder_maps(strong_run_32, scale)
+        want = energy_budget(strong_run_32, eta=budget_cutoff(centred), cmap=centred)
+        got = energy_budget(rolled_run_32, eta=budget_cutoff(origin), cmap=origin)
+        for name in ("times", "kinetic", "dissipation", "transport", "flux", "residual_times"):
+            assert_relative_close(getattr(got, name), getattr(want, name))
+        # the slack and the rate residual cancel the terms they are built from
+        assert_relative_close(got.slack, want.slack, scale=want.kinetic)
+        assert_relative_close(got.rate_residual, want.rate_residual, scale=want.dissipation)
+
 
 @pytest.fixture(scope="module")
 def budget_run_16():

@@ -1,6 +1,9 @@
-"""Import boundaries: no subcommand loads scipy, and `import wlns` defers its submodules.
+"""Import boundaries and the package namespace.
 
-Also the package names the benchmark under ``perfbench/`` reaches: its
+No subcommand loads scipy.  ``import wlns`` loads no ``wlns`` submodule:
+each name in ``wlns.__all__`` is imported from its submodule on first
+access, and ``wlns gronwall`` loads only the modules it runs.  Also the
+package names the benchmark under ``perfbench/`` reaches: its
 ``from wlns... import ...`` lines and the functions its traced runs wrap.
 """
 
@@ -22,6 +25,43 @@ def test_import_defers_scipy_submodules(module):
     code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
     loaded = set(run_python("-c", code).stdout.split())
     assert loaded.isdisjoint(DEFERRED)
+
+
+SUBMODULES = (
+    "field", "lorentz", "criteria", "nse_solver", "degiorgi", "counterexample", "gronwall",
+)
+
+
+def _loaded_wlns(code: str) -> list[str]:
+    """The ``wlns`` modules a fresh interpreter holds after running ``code``."""
+    code += "; import sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'wlns'))"
+    return run_python("-c", code).stdout.splitlines()[-1].split()
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_wlns("import wlns") == ["wlns"]
+
+
+def test_gronwall_loads_only_what_it_runs(tmp_path):
+    signal = tmp_path / "b.csv"
+    signal.write_text("t,B\n0.0,1.0\n0.5,2.0\n")
+    argv = ["gronwall", str(signal), "--out", str(tmp_path / "out")]
+    code = f"from wlns.cli import main; main({argv!r})"
+    assert _loaded_wlns(code) == ["wlns", "wlns.cli", "wlns.field", "wlns.gronwall"]
+
+
+def test_every_exported_name_resolves():
+    import wlns
+
+    assert len(set(wlns.__all__)) == len(wlns.__all__)
+    namespace: dict = {}
+    exec("from wlns import *", namespace)
+    for name in wlns.__all__:
+        assert getattr(wlns, name) is namespace[name], name
+        assert name in dir(wlns), name
+    for name in SUBMODULES:
+        assert getattr(wlns, name) is importlib.import_module(f"wlns.{name}")
+    assert not hasattr(wlns, "no_such_name")
 
 
 def test_recursive_scan_loads_no_scipy():
