@@ -31,13 +31,12 @@ _EXPORTS = {
         "holder_check", "prodi_serrin_p",
     ),
     "nse_solver": (
-        "BlowUpError", "SimulationResult", "SolverConfig", "energy_residual",
-        "kinetic_energy", "pressure_from_velocity", "random_divfree", "run",
-        "single_mode", "taylor_green",
+        "BlowUpError", "SimulationResult", "SolverConfig", "kinetic_energy",
+        "pressure_from_velocity", "random_divfree", "run", "single_mode", "taylor_green",
     ),
     "degiorgi": (
-        "CylinderMap", "CylinderScheme", "LevelSetEnergy", "energy_budget", "level_energy",
-        "recursive_sequence", "threshold_scan",
+        "CylinderMap", "CylinderScheme", "LevelSetEnergy", "energy_budget", "energy_residual",
+        "level_energy", "recursive_sequence", "threshold_scan",
     ),
     "counterexample": (
         "CounterexampleField", "DyadicSchedule", "claim1_terms", "claim2_lower_bound",

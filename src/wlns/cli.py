@@ -76,6 +76,15 @@ class RunManifest:
             fh.write("\n")
 
 
+def _options(args, **resolved) -> dict:
+    """A manifest ``config``: every parsed option, ``resolved`` ones as the run used them.
+
+    Only the dispatch is left out: the subcommand is the manifest's own field.
+    """
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    return {**options, **resolved}
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -149,7 +158,10 @@ def _load_run_config(path: str):
     if kind == "taylor_green":
         u0 = taylor_green(grid, amplitude=amplitude)
     elif kind == "single_mode":
-        mode = _parse_triplet(solver.get("mode", "0,0,1"), "[solver] mode")
+        raw_mode = solver.get("mode", "0,0,1")
+        mode = _parse_triplet(raw_mode, "[solver] mode")
+        if not all(m.is_integer() for m in mode):  # also false for inf and nan
+            raise ValueError(f"[solver] mode needs integer components, got '{raw_mode}'")
         direction = _parse_triplet(solver.get("direction", "1,0,0"), "[solver] direction")
         u0 = single_mode(
             grid, mode=[int(m) for m in mode], direction=direction, amplitude=amplitude
@@ -277,6 +289,7 @@ def _cmd_diagnose(args) -> int:
     times = [times[i] for i in order]
     paths = [paths[i] for i in order]
     grid = grids[0]
+    center = None
     if args.cylinder_scale is not None:
         try:
             center = (
@@ -291,10 +304,7 @@ def _cmd_diagnose(args) -> int:
         except ValueError as exc:
             return _fail(str(exc))
 
-    manifest = RunManifest(
-        "diagnose",
-        {"snapshots": args.snapshots, "q": args.q, "cylinder_scale": args.cylinder_scale},
-    )
+    manifest = RunManifest("diagnose", _options(args, cylinder_center=center))
     rows = []
 
     def snapshots():
@@ -343,10 +353,7 @@ def _cmd_counterexample(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    manifest = RunManifest(
-        "counterexample",
-        {"q": args.q, "r": args.r, "terms": args.terms, "t_inf": args.t_inf},
-    ).start(args.out)
+    manifest = RunManifest("counterexample", _options(args)).start(args.out)
 
     write_schedule_csv(manifest.output("schedule.csv"), schedule, n_terms=args.terms, r=args.r)
     columns = {
@@ -424,10 +431,7 @@ def _cmd_gronwall(args) -> int:
         return _fail(f"--dt {args.dt!r}: {exc}")
     deviations = implicit_check(solution)
 
-    manifest = RunManifest(
-        "gronwall",
-        {"b_csv": args.b_csv, "C": args.C, "H0": args.H0, "dt": args.dt},
-    ).start(args.out)
+    manifest = RunManifest("gronwall", _options(args)).start(args.out)
     write_bound_csv(manifest.output("bound.csv"), solution, deviations)
     manifest.halted = solution.note or None
     manifest.write()

@@ -5,14 +5,16 @@ space-time cylinders shrink from ``(-1, 1] x B(1)`` to ``(-1/2, 1] x
 B(1/2)``; the combined energies ``U_k`` obey a superlinear recursion
 that forces them to zero when the starting energy is small.  This module
 computes the ``U_k`` table for a stored trajectory (mapped into the box by
-the parabolic scaling), the localized energy budget against a smooth
-cutoff, and the recursion itself with its empirical convergence threshold.
+the parabolic scaling), the recursion itself with its empirical
+convergence threshold, and the local energy balance the scheme runs on:
+the space-time cutoffs and the balance's terms, slack and rate residual.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,18 +22,13 @@ from wlns.criteria import _cumulative_trapezoid
 from wlns.field import (
     Grid,
     Trajectory,
+    _min_image,
     ball_boundary_cells,
     ball_mask,
     gradient_squares,
     write_table,
 )
-from wlns.nse_solver import (
-    CutoffFunction,
-    SimulationResult,
-    constant_one,
-    cylinder_cutoff,
-    energy_residual,
-)
+from wlns.nse_solver import SimulationResult, pressure_from_velocity
 
 
 def truncation_time(k: int) -> float:
@@ -305,10 +302,12 @@ def threshold_scan(
 
     For the closed recurrence the critical value is ``C^{-1/(beta-1)^2}``;
     the scan brackets it to ``tol`` without using that closed form, so the
-    two can corroborate each other.
+    two can corroborate each other.  ``tol = 0`` bisects to float resolution.
     """
     if not (C > 1.0 and beta > 1.0):
         raise ValueError("need C > 1 and beta > 1")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
 
     def converged(w0: float) -> bool:
         return recursive_sequence(C, beta, w0, k_max).converged
@@ -343,23 +342,114 @@ def critical_w0_closed_form(C: float, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# localized energy budget
+# space-time cutoffs and the localized energy balance
 
 
 @dataclass(frozen=True)
-class EnergyBudgetReport:
-    times: np.ndarray
-    kinetic: np.ndarray  # int u^2 eta
-    dissipation: np.ndarray  # nu int |grad u|^2 eta
-    transport: np.ndarray  # int (u^2/2)(eta_t + nu lap eta)
-    flux: np.ndarray  # int (grad eta . u)(u^2/2 + P)
-    slack: np.ndarray  # accumulated inequality slack, one per snapshot
-    residual_times: np.ndarray
-    rate_residual: np.ndarray
+class CutoffFunction:
+    """Closed-form C^2 space-time weight with its derivatives.
 
-    @property
-    def min_slack(self) -> float:
-        return float(np.min(self.slack))
+    Each callable maps ``(grid, t)`` to an array on the grid: ``value``,
+    ``time_derivative``, ``laplacian`` scalar-shaped, ``gradient`` shaped
+    ``(3, n, n, n)``.
+    """
+
+    value: Callable[[Grid, float], np.ndarray]
+    time_derivative: Callable[[Grid, float], np.ndarray]
+    gradient: Callable[[Grid, float], np.ndarray]
+    laplacian: Callable[[Grid, float], np.ndarray]
+
+
+def constant_one() -> CutoffFunction:
+    return CutoffFunction(
+        value=lambda grid, t: np.ones(grid.shape),
+        time_derivative=lambda grid, t: np.zeros(grid.shape),
+        gradient=lambda grid, t: np.zeros((3, *grid.shape)),
+        laplacian=lambda grid, t: np.zeros(grid.shape),
+    )
+
+
+def smoothstep_down(s: np.ndarray) -> np.ndarray:
+    """Quintic ramp: 1 for s <= 0, 0 for s >= 1, C^2 across the joins."""
+    s = np.clip(s, 0.0, 1.0)
+    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+
+
+def smoothstep_down_d1(s: np.ndarray) -> np.ndarray:
+    inside = (s > 0.0) & (s < 1.0)
+    s = np.clip(s, 0.0, 1.0)
+    return np.where(inside, -30.0 * s**2 * (1.0 - s) ** 2, 0.0)
+
+
+def smoothstep_down_d2(s: np.ndarray) -> np.ndarray:
+    inside = (s > 0.0) & (s < 1.0)
+    s = np.clip(s, 0.0, 1.0)
+    return np.where(inside, -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s), 0.0)
+
+
+def cylinder_cutoff(
+    center: Sequence[float],
+    r_inner: float,
+    r_outer: float,
+    t_zero: float,
+    t_one: float,
+) -> CutoffFunction:
+    """Radial plateau falling to zero between ``r_inner`` and ``r_outer``,
+    times a temporal ramp that is 0 for ``t <= t_zero`` and 1 for
+    ``t >= t_one``.  All derivatives are closed-form."""
+    if not 0 < r_inner < r_outer:
+        raise ValueError("need 0 < r_inner < r_outer")
+    if not t_zero < t_one:
+        raise ValueError("need t_zero < t_one")
+    dr = r_outer - r_inner
+    dt_ramp = t_one - t_zero
+    radial_cache: dict[Grid, tuple] = {}
+
+    def radial_parts(grid):
+        """Time-independent radial factors, built once per grid."""
+        if grid not in radial_cache:
+            dx, dy, dz = _min_image(grid, center)
+            rho = np.sqrt(dx**2 + dy**2 + dz**2)
+            d = np.stack(np.broadcast_arrays(dx, dy, dz))
+            s = (rho - r_inner) / dr
+            R = smoothstep_down(s)
+            R1 = smoothstep_down_d1(s) / dr
+            R2 = smoothstep_down_d2(s) / dr**2
+            safe = np.where(rho > 0.0, rho, 1.0)
+            # radial laplacian R'' + 2 R'/rho; R' vanishes on the plateau so
+            # the rho -> 0 limit is clean
+            lap = R2 + 2.0 * R1 / safe
+            radial_cache[grid] = d, safe, R, R1, lap
+        return radial_cache[grid]
+
+    def time_factor(t: float) -> float:
+        return float(1.0 - smoothstep_down(np.asarray((t - t_zero) / dt_ramp)))
+
+    def time_factor_d1(t: float) -> float:
+        return float(-smoothstep_down_d1(np.asarray((t - t_zero) / dt_ramp)) / dt_ramp)
+
+    def value(grid, t):
+        _, _, R, _, _ = radial_parts(grid)
+        return R * time_factor(t)
+
+    def time_derivative(grid, t):
+        _, _, R, _, _ = radial_parts(grid)
+        return R * time_factor_d1(t)
+
+    def gradient(grid, t):
+        d, safe, _, R1, _ = radial_parts(grid)
+        return time_factor(t) * R1 * d / safe
+
+    def laplacian(grid, t):
+        _, _, _, _, lap = radial_parts(grid)
+        return time_factor(t) * lap
+
+    return CutoffFunction(
+        value=value,
+        time_derivative=time_derivative,
+        gradient=gradient,
+        laplacian=laplacian,
+    )
 
 
 def budget_cutoff(cmap: CylinderMap) -> CutoffFunction:
@@ -403,37 +493,115 @@ def _validate_support(result: SimulationResult, eta: CutoffFunction, cmap: Cylin
             raise ValueError(f"cutoff active before the mapped window opens (t={t:.6g})")
 
 
-def energy_budget(
-    result: SimulationResult,
-    eta: CutoffFunction | None = None,
-    cmap: CylinderMap | None = None,
-) -> EnergyBudgetReport:
-    """Term-by-term localized energy inequality along a trajectory.
+@dataclass(frozen=True)
+class EnergyBudgetReport:
+    times: np.ndarray
+    kinetic: np.ndarray  # int u^2 eta
+    dissipation: np.ndarray  # nu int |grad u|^2 eta
+    transport: np.ndarray  # int (u^2/2)(eta_t + nu lap eta)
+    flux: np.ndarray  # int (grad eta . u)(u^2/2 + P)
+    slack: np.ndarray  # accumulated inequality slack, one per snapshot
+    residual_times: np.ndarray
+    rate_residual: np.ndarray
 
-    With ``eta = None`` the weight is identically 1 and the budget
-    degenerates to the global balance.  When a cylinder map is supplied
-    the cutoff's support conditions (1 on the mapped ``Q_0``, 0 outside
-    the mapped ``Q_{-1}``) are checked cell by cell first.
+    @property
+    def min_slack(self) -> float:
+        return float(np.min(self.slack))
 
-    The slack series is ``int_{t_0}^{t} (transport + flux - dissipation)
-    - [kinetic(t) - kinetic(t_0)]/2``, which is nonnegative up to
-    discretization for smooth solutions; the rate residual is its
-    derivative counterpart on interior snapshots, of 4th order from five
-    snapshots on and 2nd order below.  The budget extends
-    :func:`wlns.nse_solver.energy_residual`: its terms, residual times and
-    rate residual are that report's, with ``kinetic`` twice its
-    ``quadratic``, so it needs at least 3 uniformly spaced snapshots.  A run
-    whose ``t_end`` is not a multiple of the snapshot cadence ends on a
-    shorter gap and raises ``ValueError``.
+    @property
+    def max_abs(self) -> float:
+        """The largest ``|rate_residual|``, 0.0 when that series is empty."""
+        return float(np.max(np.abs(self.rate_residual))) if len(self.rate_residual) else 0.0
+
+
+def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
+    """Per-snapshot integrals of the localized energy balance against ``cutoff``."""
+    grid = result.grid
+    vol = grid.cell_volume
+    nu = result.config.viscosity
+    n_t = len(result.times)
+    quadratic = np.empty(n_t)  # int phi |u|^2 / 2
+    dissipation = np.empty(n_t)  # nu int phi |grad u|^2
+    transport = np.empty(n_t)  # int (|u|^2/2)(phi_t + nu lap phi)
+    flux = np.empty(n_t)  # int (u . grad phi)(|u|^2/2 + P)
+    for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
+        phi = cutoff.value(grid, t)
+        u2_half = 0.5 * sum(c.values**2 for c in u.components)
+        quadratic[idx] = np.sum(phi * u2_half) * vol
+        dissipation[idx] = nu * np.sum(phi * gradient_squares(u)) * vol
+        transport[idx] = (
+            np.sum(u2_half * (cutoff.time_derivative(grid, t) + nu * cutoff.laplacian(grid, t)))
+            * vol
+        )
+        grad_phi = cutoff.gradient(grid, t)
+        advect = sum(c.values * grad_phi[i] for i, c in enumerate(u.components))
+        pressure = pressure_from_velocity(u, result.config.dealias_fraction).values
+        flux[idx] = np.sum(advect * (u2_half + pressure)) * vol
+    return {
+        "quadratic": quadratic,
+        "dissipation": dissipation,
+        "transport": transport,
+        "flux": flux,
+    }
+
+
+def _snapshot_step(times: np.ndarray) -> float:
+    """The common spacing of ``times``, which the centred differences need."""
+    spacing = np.diff(times)
+    h = float(spacing[0])
+    if not np.allclose(spacing, h, rtol=1e-9, atol=1e-12):
+        raise ValueError("energy residual requires uniformly spaced snapshots")
+    return h
+
+
+def _rate_residual(
+    times: np.ndarray, h: float, terms: dict, time_order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balance defect ``d/dt quadratic + dissipation - transport - flux``.
+
+    The derivative is the centred difference of ``time_order`` (2 or 4) with
+    step ``h``, so the result lives on the interior snapshots, whose times
+    are returned with it.
     """
-    if eta is None:
-        eta = constant_one()
-    elif cmap is not None:
-        _validate_support(result, eta, cmap)
+    q = terms["quadratic"]
+    if time_order == 2:
+        lo, hi = 1, len(times) - 1
+        ddt = (q[2:] - q[:-2]) / (2.0 * h)
+    else:
+        lo, hi = 2, len(times) - 2
+        ddt = (-q[4:] + 8.0 * q[3:-1] - 8.0 * q[1:-3] + q[:-4]) / (12.0 * h)
+    residual = (
+        ddt + terms["dissipation"][lo:hi] - terms["transport"][lo:hi] - terms["flux"][lo:hi]
+    )
+    return times[lo:hi], residual
 
+
+def energy_residual(
+    result: SimulationResult,
+    cutoff: CutoffFunction | None = None,
+    time_order: int = 4,
+) -> EnergyBudgetReport:
+    """Term-by-term localized energy balance along a stored trajectory.
+
+    ``cutoff = None`` weighs by 1: the global balance.  The rate residual
+    ``d/dt int phi |u|^2/2 + nu int phi |grad u|^2 - int (|u|^2/2)(phi_t +
+    nu Lap phi) - int (u . grad phi)(|u|^2/2 + P)`` takes centered
+    differences of ``time_order`` (2 or 4) on the interior snapshots, which
+    must be uniformly spaced; the pressure is dealiased as the run was.  The
+    slack ``int_{t_0}^{t} (transport + flux - dissipation) - [kinetic(t) -
+    kinetic(t_0)]/2`` is nonnegative up to discretization for smooth runs.
+    """
+    if cutoff is None:
+        cutoff = constant_one()
     times = np.asarray(result.times)
-    residual = energy_residual(result, eta, 4 if len(times) >= 5 else 2)
-    terms = residual.terms
+    needed = 5 if time_order == 4 else 3
+    if time_order not in (2, 4):
+        raise ValueError("time_order must be 2 or 4")
+    if len(times) < needed:
+        raise ValueError(f"need at least {needed} snapshots for order {time_order}")
+    h = _snapshot_step(times)
+    terms = _balance_terms(result, cutoff)
+    residual_times, rate_residual = _rate_residual(times, h, terms, time_order)
     kinetic = 2.0 * terms["quadratic"]
     transport, flux, dissipation = terms["transport"], terms["flux"], terms["dissipation"]
     gain = _cumulative_trapezoid(transport + flux - dissipation, times)
@@ -444,6 +612,46 @@ def energy_budget(
         transport=transport,
         flux=flux,
         slack=gain - 0.5 * (kinetic - kinetic[0]),
-        residual_times=residual.times,
-        rate_residual=residual.residual,
+        residual_times=residual_times,
+        rate_residual=rate_residual,
     )
+
+
+def _validate_support(result: SimulationResult, eta: CutoffFunction, cmap: CylinderMap):
+    grid = result.grid
+    cmap.validate(grid)
+    inner = ball_mask(grid, cmap.center, cmap.sim_radius(cylinder_radius(0)))
+    outer = ball_mask(grid, cmap.center, cmap.sim_radius(cylinder_radius(-1)))
+    t_start = cmap.sim_time(truncation_time(-1))
+    t_plateau = cmap.sim_time(truncation_time(0))
+    for t in result.times:
+        values = eta.value(grid, t)
+        if t >= t_plateau - 1e-12:
+            bad = int(np.count_nonzero(np.abs(values[inner] - 1.0) > 1e-12))
+            if bad:
+                raise ValueError(
+                    f"cutoff is not 1 on the mapped Q_0 at t={t:.6g} ({bad} cells)"
+                )
+        bad = int(np.count_nonzero(np.abs(values[~outer]) > 1e-12))
+        if bad:
+            raise ValueError(
+                f"cutoff does not vanish outside the mapped Q_(-1) at t={t:.6g} "
+                f"({bad} cells)"
+            )
+        if t <= t_start + 1e-12 and np.any(np.abs(values) > 1e-12):
+            raise ValueError(f"cutoff active before the mapped window opens (t={t:.6g})")
+
+
+def energy_budget(
+    result: SimulationResult,
+    eta: CutoffFunction | None = None,
+    cmap: CylinderMap | None = None,
+) -> EnergyBudgetReport:
+    """:func:`energy_residual` against ``eta``, of order 4 from five snapshots on, else 2.
+
+    Given ``cmap`` too, ``eta`` is first checked cell by cell to be 1 on the
+    mapped ``Q_0`` and 0 outside the mapped ``Q_{-1}``.
+    """
+    if eta is not None and cmap is not None:
+        _validate_support(result, eta, cmap)
+    return energy_residual(result, eta, 4 if len(result.times) >= 5 else 2)

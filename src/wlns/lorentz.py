@@ -9,7 +9,6 @@ time signals that are piecewise constant on intervals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,15 +39,11 @@ class DistributionFunction:
 
     ``thresholds`` holds the distinct data levels in increasing order;
     ``measure_geq[i]`` is the measure of ``{|f| >= thresholds[i]}`` (the
-    left limit of the distribution function there) and ``measure_gt[i]``
-    the measure of the strict super-level set.  Tables of cells with
-    unequal measures have no single ``cell_measure`` and store ``nan``.
+    left limit of the distribution function there).
     """
 
     thresholds: np.ndarray
     measure_geq: np.ndarray
-    measure_gt: np.ndarray
-    cell_measure: float
     total_measure: float
 
     @classmethod
@@ -57,14 +52,7 @@ class DistributionFunction:
         levels, counts = np.unique(absv, return_counts=True)
         # cumulative count of cells at or above each level
         geq = np.cumsum(counts[::-1])[::-1].astype(np.float64) * measure
-        gt = geq - counts * measure
-        return cls(
-            thresholds=levels,
-            measure_geq=geq,
-            measure_gt=gt,
-            cell_measure=measure,
-            total_measure=absv.size * measure,
-        )
+        return cls(thresholds=levels, measure_geq=geq, total_measure=absv.size * measure)
 
     @classmethod
     def _from_lengths(cls, values: np.ndarray, lengths: np.ndarray) -> "DistributionFunction":
@@ -72,13 +60,7 @@ class DistributionFunction:
         levels, inverse = np.unique(values, return_inverse=True)
         mass = np.bincount(inverse, weights=lengths, minlength=levels.size)
         geq = np.cumsum(mass[::-1])[::-1]
-        return cls(
-            thresholds=levels,
-            measure_geq=geq,
-            measure_gt=geq - mass,
-            cell_measure=math.nan,
-            total_measure=float(lengths.sum()),
-        )
+        return cls(thresholds=levels, measure_geq=geq, total_measure=float(lengths.sum()))
 
     def __call__(self, alpha: float) -> float:
         """Measure of the strict super-level set ``{|f| > alpha}``."""

@@ -12,9 +12,8 @@ Quadratic products are formed in physical space and dealiased by the
 and the RK4 stages hold only ``wlns.field``'s kept block of modes, and each
 stage goes back to physical space through the block's pruned inverse transform.
 
-The module also recovers the pressure by a spectral Poisson solve and
-evaluates the localized energy-balance residual against a smooth
-space-time cutoff; both feed the regularity diagnostics downstream.
+The module also recovers the pressure by a spectral Poisson solve, which
+the localized energy balance of :mod:`wlns.degiorgi` reads.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from wlns.field import (
     _band_mask,
     _block,
     _forward,
-    _min_image,
-    gradient_squares,
 )
 
 
@@ -43,14 +40,13 @@ class BlowUpError(RuntimeError):
     """Raised when the state leaves the resolvable regime.
 
     ``last_time`` is the last time with a valid state; ``result`` holds the
-    partial trajectory collected so far (may be ``None`` for low-level
-    calls that have no trajectory context).
+    partial trajectory when :func:`run` raised it, and ``None`` otherwise.
     """
 
-    def __init__(self, message: str, last_time: float, result=None):
+    def __init__(self, message: str, last_time: float):
         super().__init__(message)
         self.last_time = last_time
-        self.result = result
+        self.result = None
 
 
 @dataclass(frozen=True)
@@ -212,13 +208,13 @@ def _product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np
     return out
 
 
-def _advection(u: np.ndarray, block, factor) -> np.ndarray:
-    """``factor * k_j (u_i u_j)^`` on ``block`` of the stacked physical velocity ``u``."""
+def _advection(u: np.ndarray, block, factor, last_time: float = math.nan) -> np.ndarray:
+    """``factor * k_j (u_i u_j)^`` on ``block`` of ``u``; an overflow halts at ``last_time``."""
     products = _product_modes(u, block)
     # a non-finite product leaves every mode of its transform non-finite:
     # one scan of the block covers all six
     if not np.isfinite(products).all():
-        raise BlowUpError("overflow in physical-space product", last_time=math.nan)
+        raise BlowUpError("overflow in physical-space product", last_time=last_time)
     kx, ky, kz, _ = block.symbols
     out = np.empty((3, *products.shape[1:]), dtype=np.complex128)
     for i, (a, b, c) in enumerate(_PAIR_INDEX):
@@ -322,7 +318,7 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     # minus the right-hand side; the sign is carried by the RK4 weights,
     # which flips no bit of the result
     def advect(u):
-        return _project(_advection(u, block, 1j), *block.symbols)
+        return _project(_advection(u, block, 1j, state.time), *block.symbols)
 
     u0 = state.kept
     a1 = advect(state.physical)
@@ -367,8 +363,8 @@ def run(
     given.  With a ``sink``, ``sink(t, u)`` receives each snapshot as it is
     recorded and ``result.snapshots`` stays empty, so memory does not grow
     with the trajectory.  Blow-up (non-finite modes or ``max|u|`` past the
-    threshold) raises :class:`BlowUpError` carrying the partial result; a
-    ``KeyboardInterrupt`` or ``MemoryError`` gets it as its ``result``
+    threshold) raises :class:`BlowUpError`; it, a ``KeyboardInterrupt`` and a
+    ``MemoryError`` leave with the partial result as their ``result``
     attribute.
     """
     grid = u0.grid
@@ -403,11 +399,8 @@ def run(
     try:
         record(state)
         n_steps = config.n_steps
-        for i in range(n_steps):
-            try:
-                state = step(state, config)
-            except BlowUpError as exc:
-                raise BlowUpError(str(exc), last_time=i * config.dt, result=partial()) from None
+        for _ in range(n_steps):
+            state = step(state, config)
             # the one inverse transform of this state: the next step starts from it
             u = state.velocity()
             peak = u.max_abs()
@@ -416,13 +409,12 @@ def run(
                 raise BlowUpError(
                     f"max|u| = {peak:.3e} exceeded threshold at t = {state.time:.6g}",
                     last_time=(state.step_index - 1) * config.dt,
-                    result=partial(),
                 )
             if state.step_index % config.snapshot_every == 0 or state.step_index == n_steps:
                 record(state, u)
             if callback is not None:
                 callback(state)
-    except (KeyboardInterrupt, MemoryError) as exc:
+    except (BlowUpError, KeyboardInterrupt, MemoryError) as exc:
         exc.result = partial()
         raise
     return partial()
@@ -432,216 +424,3 @@ def kinetic_energy(u: VectorField) -> float:
     """``(1/2) integral |u|^2 dx`` by the exact periodic trapezoid rule."""
     total = sum(float(np.sum(c.values**2)) for c in u.components)
     return 0.5 * total * u.grid.cell_volume
-
-
-# ---------------------------------------------------------------------------
-# space-time cutoffs and the localized energy balance
-
-
-@dataclass(frozen=True)
-class CutoffFunction:
-    """Closed-form C^2 space-time weight with its derivatives.
-
-    Each callable maps ``(grid, t)`` to an array on the grid: ``value``,
-    ``time_derivative``, ``laplacian`` scalar-shaped, ``gradient`` shaped
-    ``(3, n, n, n)``.
-    """
-
-    value: Callable[[Grid, float], np.ndarray]
-    time_derivative: Callable[[Grid, float], np.ndarray]
-    gradient: Callable[[Grid, float], np.ndarray]
-    laplacian: Callable[[Grid, float], np.ndarray]
-
-
-def constant_one() -> CutoffFunction:
-    return CutoffFunction(
-        value=lambda grid, t: np.ones(grid.shape),
-        time_derivative=lambda grid, t: np.zeros(grid.shape),
-        gradient=lambda grid, t: np.zeros((3, *grid.shape)),
-        laplacian=lambda grid, t: np.zeros(grid.shape),
-    )
-
-
-def smoothstep_down(s: np.ndarray) -> np.ndarray:
-    """Quintic ramp: 1 for s <= 0, 0 for s >= 1, C^2 across the joins."""
-    s = np.clip(s, 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-
-
-def smoothstep_down_d1(s: np.ndarray) -> np.ndarray:
-    inside = (s > 0.0) & (s < 1.0)
-    s = np.clip(s, 0.0, 1.0)
-    return np.where(inside, -30.0 * s**2 * (1.0 - s) ** 2, 0.0)
-
-
-def smoothstep_down_d2(s: np.ndarray) -> np.ndarray:
-    inside = (s > 0.0) & (s < 1.0)
-    s = np.clip(s, 0.0, 1.0)
-    return np.where(inside, -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s), 0.0)
-
-
-def cylinder_cutoff(
-    center: Sequence[float],
-    r_inner: float,
-    r_outer: float,
-    t_zero: float,
-    t_one: float,
-) -> CutoffFunction:
-    """Radial plateau falling to zero between ``r_inner`` and ``r_outer``,
-    times a temporal ramp that is 0 for ``t <= t_zero`` and 1 for
-    ``t >= t_one``.  All derivatives are closed-form."""
-    if not 0 < r_inner < r_outer:
-        raise ValueError("need 0 < r_inner < r_outer")
-    if not t_zero < t_one:
-        raise ValueError("need t_zero < t_one")
-    dr = r_outer - r_inner
-    dt_ramp = t_one - t_zero
-    radial_cache: dict[Grid, tuple] = {}
-
-    def radial_parts(grid):
-        """Time-independent radial factors, built once per grid."""
-        if grid not in radial_cache:
-            dx, dy, dz = _min_image(grid, center)
-            rho = np.sqrt(dx**2 + dy**2 + dz**2)
-            d = np.stack(np.broadcast_arrays(dx, dy, dz))
-            s = (rho - r_inner) / dr
-            R = smoothstep_down(s)
-            R1 = smoothstep_down_d1(s) / dr
-            R2 = smoothstep_down_d2(s) / dr**2
-            safe = np.where(rho > 0.0, rho, 1.0)
-            # radial laplacian R'' + 2 R'/rho; R' vanishes on the plateau so
-            # the rho -> 0 limit is clean
-            lap = R2 + 2.0 * R1 / safe
-            radial_cache[grid] = d, safe, R, R1, lap
-        return radial_cache[grid]
-
-    def time_factor(t: float) -> float:
-        return float(1.0 - smoothstep_down(np.asarray((t - t_zero) / dt_ramp)))
-
-    def time_factor_d1(t: float) -> float:
-        return float(-smoothstep_down_d1(np.asarray((t - t_zero) / dt_ramp)) / dt_ramp)
-
-    def value(grid, t):
-        _, _, R, _, _ = radial_parts(grid)
-        return R * time_factor(t)
-
-    def time_derivative(grid, t):
-        _, _, R, _, _ = radial_parts(grid)
-        return R * time_factor_d1(t)
-
-    def gradient(grid, t):
-        d, safe, _, R1, _ = radial_parts(grid)
-        return time_factor(t) * R1 * d / safe
-
-    def laplacian(grid, t):
-        _, _, _, _, lap = radial_parts(grid)
-        return time_factor(t) * lap
-
-    return CutoffFunction(
-        value=value,
-        time_derivative=time_derivative,
-        gradient=gradient,
-        laplacian=laplacian,
-    )
-
-
-@dataclass(frozen=True)
-class EnergyResidualReport:
-    times: np.ndarray
-    residual: np.ndarray
-    max_abs: float
-    terms: dict  # per-snapshot integral series keyed by name
-
-
-def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
-    """Per-snapshot integrals of the localized energy balance against ``cutoff``."""
-    grid = result.grid
-    vol = grid.cell_volume
-    nu = result.config.viscosity
-    n_t = len(result.times)
-    quadratic = np.empty(n_t)  # int phi |u|^2 / 2
-    dissipation = np.empty(n_t)  # nu int phi |grad u|^2
-    transport = np.empty(n_t)  # int (|u|^2/2)(phi_t + nu lap phi)
-    flux = np.empty(n_t)  # int (u . grad phi)(|u|^2/2 + P)
-    for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
-        phi = cutoff.value(grid, t)
-        u2_half = 0.5 * sum(c.values**2 for c in u.components)
-        quadratic[idx] = np.sum(phi * u2_half) * vol
-        dissipation[idx] = nu * np.sum(phi * gradient_squares(u)) * vol
-        transport[idx] = (
-            np.sum(u2_half * (cutoff.time_derivative(grid, t) + nu * cutoff.laplacian(grid, t)))
-            * vol
-        )
-        grad_phi = cutoff.gradient(grid, t)
-        advect = sum(c.values * grad_phi[i] for i, c in enumerate(u.components))
-        pressure = pressure_from_velocity(u, result.config.dealias_fraction).values
-        flux[idx] = np.sum(advect * (u2_half + pressure)) * vol
-    return {
-        "quadratic": quadratic,
-        "dissipation": dissipation,
-        "transport": transport,
-        "flux": flux,
-    }
-
-
-def _snapshot_step(times: np.ndarray) -> float:
-    """The common spacing of ``times``, which the centred differences need."""
-    spacing = np.diff(times)
-    h = float(spacing[0])
-    if not np.allclose(spacing, h, rtol=1e-9, atol=1e-12):
-        raise ValueError("energy residual requires uniformly spaced snapshots")
-    return h
-
-
-def _rate_residual(
-    times: np.ndarray, h: float, terms: dict, time_order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Balance defect ``d/dt quadratic + dissipation - transport - flux``.
-
-    The derivative is the centred difference of ``time_order`` (2 or 4) with
-    step ``h``, so the result lives on the interior snapshots, whose times
-    are returned with it.
-    """
-    q = terms["quadratic"]
-    if time_order == 2:
-        lo, hi = 1, len(times) - 1
-        ddt = (q[2:] - q[:-2]) / (2.0 * h)
-    else:
-        lo, hi = 2, len(times) - 2
-        ddt = (-q[4:] + 8.0 * q[3:-1] - 8.0 * q[1:-3] + q[:-4]) / (12.0 * h)
-    residual = (
-        ddt + terms["dissipation"][lo:hi] - terms["transport"][lo:hi] - terms["flux"][lo:hi]
-    )
-    return times[lo:hi], residual
-
-
-def energy_residual(
-    result: SimulationResult,
-    cutoff: CutoffFunction | None = None,
-    time_order: int = 4,
-) -> EnergyResidualReport:
-    """Defect of the localized energy balance along a stored trajectory.
-
-    For each interior snapshot time it evaluates ``d/dt int phi |u|^2/2
-    + nu int phi |grad u|^2 - int (|u|^2/2)(phi_t + nu Lap phi) - int (u .
-    grad phi)(|u|^2/2 + P)``; the time derivative uses centered differences
-    of the stated order, so the report shrinks under refinement for smooth
-    runs.  The pressure is dealiased as the run was.
-    """
-    if cutoff is None:
-        cutoff = constant_one()
-    times = result.times
-    needed = 5 if time_order == 4 else 3
-    if time_order not in (2, 4):
-        raise ValueError("time_order must be 2 or 4")
-    if len(times) < needed:
-        raise ValueError(f"need at least {needed} snapshots for order {time_order}")
-    h = _snapshot_step(times)
-    terms = _balance_terms(result, cutoff)
-    interior, residual = _rate_residual(times, h, terms, time_order)
-    return EnergyResidualReport(
-        times=interior,
-        residual=residual,
-        max_abs=float(np.max(np.abs(residual))) if len(residual) else 0.0,
-        terms=terms,
-    )

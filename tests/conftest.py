@@ -27,7 +27,8 @@ import numpy as np
 
 from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField, _forward, _min_image
 from wlns.gronwall import _logaddexp1
-from wlns.nse_solver import _PAIRS, CutoffFunction, leray_project, nonlinear_term
+from wlns.degiorgi import CutoffFunction
+from wlns.nse_solver import _PAIRS, leray_project, nonlinear_term
 
 
 def reference_symbols(n: int, length: float):

@@ -19,6 +19,7 @@ from wlns.degiorgi import (
     CylinderMap,
     CylinderScheme,
     cylinder_radius,
+    energy_residual,
     level_energy,
     recursive_sequence,
     threshold_scan,
@@ -36,7 +37,6 @@ from wlns.lorentz import (
 from wlns.nse_solver import (
     SimulationResult,
     SolverConfig,
-    energy_residual,
     kinetic_energy,
     pressure_from_velocity,
     random_divfree,

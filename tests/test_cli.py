@@ -278,6 +278,18 @@ class TestSimulate:
         assert not out.exists()
         assert "[diagnostics] q must lie in (3, 9)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("component", ["1.5", "inf", "nan"])
+    def test_non_integer_mode_rejected_before_output(self, tmp_path, capsys, component):
+        cfg = write_config(
+            tmp_path,
+            "[solver]\nn = 8\nt_end = 0.002\ninitial_condition = single_mode\n"
+            f"mode = {component},0,0\ndirection = 0,1,0\n",
+        )
+        out = tmp_path / "x"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "[solver] mode" in capsys.readouterr().err
+
     @pytest.mark.parametrize("prefix", ["../escaped", "sub/run", "manifest.json/x"])
     def test_prefix_with_path_separator_rejected_before_output(self, tmp_path, capsys, prefix):
         cfg = write_config(
@@ -330,6 +342,20 @@ class TestDiagnose:
         # sub-unit velocities: every truncation past threshold 1/2 is empty
         for line in lines[2:]:
             assert float(line.split(",")[-1]) == 0.0
+
+    def test_manifest_records_every_option(self, taylor_green_run, tmp_path):
+        base = ["diagnose", str(taylor_green_run), "--q", "6.0", "--cylinder-scale", "0.3"]
+        out = tmp_path / "centred"
+        assert main([*base, "--kmax", "3", "--cylinder-center", "3,3,3", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {"snapshots", "q", "out", "cylinder_scale", "cylinder_center", "kmax"}
+        assert config["kmax"] == 3
+        assert config["cylinder_center"] == [3, 3, 3]
+        # without --cylinder-center the manifest names the box centre the run used
+        out = tmp_path / "default"
+        assert main([*base, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["cylinder_center"] == [math.pi] * 3
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["diagnose", str(tmp_path), "--q", "6", "--out", str(tmp_path)]) == 1
@@ -551,6 +577,10 @@ class TestRecursive:
         )
         assert lo <= 0.5 <= hi
         assert hi - lo <= 1e-12
+
+    def test_scan_rejects_nan_tol(self, capsys):
+        assert main(["recursive", "--C", "2", "--beta", "2", "--scan", "--tol", "nan"]) == 1
+        assert "tol must be >= 0" in capsys.readouterr().err
 
     def test_missing_w0(self, capsys):
         assert main(["recursive", "--C", "2", "--beta", "2"]) == 1

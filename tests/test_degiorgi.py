@@ -12,9 +12,12 @@ from wlns.degiorgi import (
     CylinderScheme,
     LevelSetEnergy,
     budget_cutoff,
+    constant_one,
     critical_w0_closed_form,
+    cylinder_cutoff,
     cylinder_radius,
     energy_budget,
+    energy_residual,
     level_energy,
     recursive_sequence,
     threshold_scan,
@@ -27,9 +30,6 @@ from wlns.field import Grid, ScalarField, Trajectory, VectorField, ball_mask, gr
 from wlns.nse_solver import (
     SimulationResult,
     SolverConfig,
-    constant_one,
-    cylinder_cutoff,
-    energy_residual,
     random_divfree,
     run,
     taylor_green,
@@ -450,8 +450,8 @@ class TestEnergyBudget:
     def test_degenerate_cutoff_cross_checks_residual(self, budget_run_16):
         report = energy_budget(budget_run_16, eta=constant_one())
         residual = energy_residual(budget_run_16, constant_one())
-        np.testing.assert_allclose(report.residual_times, residual.times)
-        assert np.max(np.abs(report.rate_residual - residual.residual)) <= 1e-8
+        np.testing.assert_allclose(report.residual_times, residual.residual_times)
+        assert np.max(np.abs(report.rate_residual - residual.rate_residual)) <= 1e-8
 
     def test_global_slack_is_quadrature_small(self, budget_run_16):
         report = energy_budget(budget_run_16)

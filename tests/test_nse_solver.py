@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -22,14 +23,18 @@ from wlns.field import (
     laplacian,
     _block,
 )
-from wlns.nse_solver import (
-    BlowUpError,
-    CutoffFunction,
-    SolverConfig,
-    SolverState,
+from wlns.degiorgi import (
     constant_one,
     cylinder_cutoff,
     energy_residual,
+    smoothstep_down,
+    smoothstep_down_d1,
+    smoothstep_down_d2,
+)
+from wlns.nse_solver import (
+    BlowUpError,
+    SolverConfig,
+    SolverState,
     kinetic_energy,
     leray_project,
     nonlinear_term,
@@ -38,9 +43,6 @@ from wlns.nse_solver import (
     random_divfree,
     run,
     single_mode,
-    smoothstep_down,
-    smoothstep_down_d1,
-    smoothstep_down_d2,
     spectral_divergence_defect,
     step,
     taylor_green,
@@ -544,6 +546,17 @@ class TestBlockStep:
         with pytest.raises(BlowUpError, match="^overflow in physical-space product"):
             step(state, config)
 
+    def test_overflow_in_step_carries_the_state_time(self):
+        config = SolverConfig()
+        u = random_divfree(Grid(8), seed=1, amplitude=1e160)
+        state = dataclasses.replace(
+            SolverState.from_velocity(u, config), time=0.5, step_index=500
+        )
+        with pytest.raises(BlowUpError, match="^overflow") as excinfo:
+            step(state, config)
+        assert excinfo.value.last_time == 0.5
+        assert excinfo.value.result is None
+
     def test_step_memory_stays_below_five_fields(self):
         """A warmed 48^3 step allocates at most five ``(3, n, n, n)`` fields at once.
 
@@ -749,7 +762,7 @@ class TestEnergyResidual:
         # an unweighted dissipation would leave (1 - nu) of it as residual
         config = SolverConfig(viscosity=0.1, dt=1e-3, t_end=0.05, snapshot_every=5)
         report = energy_residual(run(taylor_green(Grid(n=16)), config), constant_one())
-        assert report.max_abs <= 1e-9 * np.mean(report.terms["dissipation"])
+        assert report.max_abs <= 1e-9 * np.mean(report.dissipation)
 
     def test_gaussian_bump_residual(self, tg_run_32):
         bump = gaussian_bump((np.pi, np.pi, np.pi), width=0.5)
