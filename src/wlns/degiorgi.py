@@ -617,31 +617,6 @@ def energy_residual(
     )
 
 
-def _validate_support(result: SimulationResult, eta: CutoffFunction, cmap: CylinderMap):
-    grid = result.grid
-    cmap.validate(grid)
-    inner = ball_mask(grid, cmap.center, cmap.sim_radius(cylinder_radius(0)))
-    outer = ball_mask(grid, cmap.center, cmap.sim_radius(cylinder_radius(-1)))
-    t_start = cmap.sim_time(truncation_time(-1))
-    t_plateau = cmap.sim_time(truncation_time(0))
-    for t in result.times:
-        values = eta.value(grid, t)
-        if t >= t_plateau - 1e-12:
-            bad = int(np.count_nonzero(np.abs(values[inner] - 1.0) > 1e-12))
-            if bad:
-                raise ValueError(
-                    f"cutoff is not 1 on the mapped Q_0 at t={t:.6g} ({bad} cells)"
-                )
-        bad = int(np.count_nonzero(np.abs(values[~outer]) > 1e-12))
-        if bad:
-            raise ValueError(
-                f"cutoff does not vanish outside the mapped Q_(-1) at t={t:.6g} "
-                f"({bad} cells)"
-            )
-        if t <= t_start + 1e-12 and np.any(np.abs(values) > 1e-12):
-            raise ValueError(f"cutoff active before the mapped window opens (t={t:.6g})")
-
-
 def energy_budget(
     result: SimulationResult,
     eta: CutoffFunction | None = None,

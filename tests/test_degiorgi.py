@@ -448,10 +448,20 @@ class TestEnergyBudget:
         np.testing.assert_array_equal(implicit.rate_residual, explicit.rate_residual)
 
     def test_degenerate_cutoff_cross_checks_residual(self, budget_run_16):
+        # Five snapshots or more: order 4, on all but two snapshots at each end.
         report = energy_budget(budget_run_16, eta=constant_one())
-        residual = energy_residual(budget_run_16, constant_one())
-        np.testing.assert_allclose(report.residual_times, residual.residual_times)
-        assert np.max(np.abs(report.rate_residual - residual.rate_residual)) <= 1e-8
+        np.testing.assert_array_equal(report.residual_times, budget_run_16.times[2:-2])
+        # Four snapshots: order 4 is impossible, so the budget falls back to order 2.
+        short = dataclasses.replace(
+            budget_run_16, times=budget_run_16.times[:4], snapshots=budget_run_16.snapshots[:4]
+        )
+        with pytest.raises(ValueError, match="at least 5 snapshots"):
+            energy_residual(short, constant_one())
+        report = energy_budget(short, eta=constant_one())
+        residual = energy_residual(short, constant_one(), time_order=2)
+        np.testing.assert_array_equal(report.residual_times, short.times[1:3])
+        np.testing.assert_array_equal(report.rate_residual, residual.rate_residual)
+        assert np.max(np.abs(residual.rate_residual)) > 0.0
 
     def test_global_slack_is_quadrature_small(self, budget_run_16):
         report = energy_budget(budget_run_16)
