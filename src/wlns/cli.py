@@ -154,6 +154,8 @@ def _load_run_config(path: str):
 
     kind = solver.get("initial_condition", "taylor_green").strip()
     amplitude = pick(solver, "amplitude", float, 1.0)
+    if not math.isfinite(amplitude):
+        raise ValueError(f"[solver] amplitude must be finite, got {amplitude!r}")
     seed = pick(solver, "seed", int, None)
     if kind == "taylor_green":
         u0 = taylor_green(grid, amplitude=amplitude)
@@ -163,9 +165,12 @@ def _load_run_config(path: str):
         if not all(m.is_integer() for m in mode):  # also false for inf and nan
             raise ValueError(f"[solver] mode needs integer components, got '{raw_mode}'")
         direction = _parse_triplet(solver.get("direction", "1,0,0"), "[solver] direction")
-        u0 = single_mode(
-            grid, mode=[int(m) for m in mode], direction=direction, amplitude=amplitude
-        )
+        try:
+            u0 = single_mode(
+                grid, mode=[int(m) for m in mode], direction=direction, amplitude=amplitude
+            )
+        except ValueError as exc:
+            raise ValueError(f"[solver] {exc}") from None
     elif kind == "random":
         if seed is None:
             raise ValueError("[solver] random initial condition needs a seed")

@@ -295,12 +295,17 @@ class _Block:
         Unscaled ``ifft`` along x, then y, then ``irfft`` along z, skipping
         lines that stay zero, one field of a batch at a time through the
         buffers of :attr:`_lines`, so a call allocates little beyond its
-        result.
+        result.  A field whose modes are all bitwise ``+0`` has all-``+0``
+        values, which it gets without a transform.
         """
         x_lines, y_lines = self._lines
         y_kept = y_lines[..., : self.width]
+        block = np.ascontiguousarray(block, dtype=np.complex128)
         out = np.empty((*block.shape[:-3], self.n, self.n, self.n))
         for field in np.ndindex(block.shape[:-3]):
+            if not block[field].view(np.uint64).any():
+                out[field] = 0.0
+                continue
             # the last field's transforms filled the rows outside the block
             x_lines[self._cut] = 0.0
             y_kept[:, self._cut] = 0.0
@@ -393,10 +398,13 @@ def gradient(field: ScalarField | SpectralField) -> VectorField:
 def gradient_squares(f: ScalarField | VectorField) -> np.ndarray:
     """Pointwise ``|grad f|^2``: every spectral first derivative squared and summed.
 
-    A vector field gives the nine-derivative ``|grad u|^2``.
+    A vector field gives the nine-derivative ``|grad u|^2``; a component
+    with no nonzero value adds only ``+0`` and is skipped.
     """
     total = np.zeros(f.grid.shape)
     for component in f.components if isinstance(f, VectorField) else (f,):
+        if not component.values.any():
+            continue
         for part in _derivatives(f.grid, _forward(component.values)):
             total += part**2
     return total

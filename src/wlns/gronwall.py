@@ -275,7 +275,6 @@ class BoundSolution:
     problem: BoundProblem
     times: np.ndarray
     h: np.ndarray
-    dt: Optional[float]
     overflowed: bool = False
 
     @property
@@ -312,7 +311,7 @@ def _rk4(problem: BoundProblem, dt: float) -> BoundSolution:
             overflowed = True
             break
         h[i + 1] = y_next
-    return BoundSolution(problem, times, h, step, overflowed)
+    return BoundSolution(problem, times, h, overflowed)
 
 
 @np.errstate(over="ignore")  # an infinite row count or target is refused or flagged below
@@ -339,7 +338,7 @@ def _exact_piecewise(problem: BoundProblem, dt: Optional[float]) -> BoundSolutio
     h = np.maximum.accumulate(np.append(problem.h0, h))
     if past.size:
         h = np.append(h, math.inf)
-    return BoundSolution(problem, times[: h.size], h, dt, bool(past.size))
+    return BoundSolution(problem, times[: h.size], h, bool(past.size))
 
 
 def solve_bound(

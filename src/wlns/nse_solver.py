@@ -113,10 +113,14 @@ def single_mode(
     """
     mode = np.asarray(mode, dtype=np.int64)
     direction = np.asarray(direction, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(direction)
+    if not 0.0 < norm < math.inf:  # zero, non-finite, or out of float range once squared
+        raise ValueError("direction needs a finite, nonzero norm")
     k = 2.0 * np.pi / grid.length * mode
     if abs(float(direction @ k)) > 1e-12 * (1.0 + np.linalg.norm(k)):
         raise ValueError("direction must be orthogonal to the wavevector")
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / norm
     x, y, z = grid.coordinates
     phase = np.cos(k[0] * x + k[1] * y + k[2] * z)
     return VectorField.from_arrays(
@@ -195,12 +199,19 @@ def _product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np
     ``u`` is the stacked ``(3, n, n, n)`` velocity; an optional pointwise
     ``weight`` multiplies every product before its transform.  Each product
     is formed in one reused buffer and transformed alone, so only one
-    product and its transform are live at a time.
+    product and its transform are live at a time.  A product with a factor
+    that has no nonzero value gets ``+0`` modes and no transform: its modes
+    are only added to or subtracted from others, so at most the signs of
+    its own zeros change.
     """
     out = np.empty((len(_PAIRS), *block.shape), dtype=np.complex128)
     product = np.empty(u.shape[1:])
+    zero = [not component.any() for component in u]
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (i, j) in enumerate(_PAIRS):
+            if zero[i] or zero[j]:
+                out[idx] = 0.0
+                continue
             np.multiply(u[i], u[j], out=product)
             if weight is not None:
                 product *= weight
@@ -307,7 +318,8 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
 
     The stages run on ``state.kept``, the block of the dealias fraction the
     state and ``config`` must share.  Stage 1 starts from ``state.physical``;
-    the new state's ``physical`` is seeded from the block, so a step costs 36 transforms.
+    the new state's ``physical`` is seeded from the block, so a step costs 36
+    transforms, less those of a bitwise-zero velocity component: 20 when one is.
     """
     if state.dealias_fraction != config.dealias_fraction:
         raise ValueError("the state and the config keep different dealias fractions")

@@ -6,7 +6,11 @@ numpy-FFT oracles in the test modules import it from here.
 ``masked_step`` is the solver's RK4 step on the whole half spectrum, the
 oracle for the step on the kept block.  ``batched_product_modes`` is
 the six quadratic products transformed as one stack, the oracle for the
-solver's one-product-at-a-time transforms.  ``scalar_phi_increment``
+solver's one-product-at-a-time transforms.  ``full_transform_step`` is the
+solver's step with every component and every product transformed through
+``scipy.fft``, the oracle for the step that skips the transforms of a
+bitwise-zero component; ``stream_flow`` is a nonlinear 2-D flow, whose
+``u_z`` is such a component.  ``scalar_phi_increment``
 and ``scalar_implicit_check`` are the scalar Gauss-Legendre rule and the
 row-by-row identity check that ``wlns.gronwall``'s array kernel must match
 bit for bit.  ``sample_scalar``,
@@ -25,10 +29,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wlns.field import TWO_PI, Grid, ScalarField, SpectralField, VectorField, _forward, _min_image
+from wlns.field import (
+    TWO_PI, Grid, ScalarField, SpectralField, VectorField, _block, _forward, _min_image,
+)
 from wlns.gronwall import _logaddexp1
 from wlns.degiorgi import CutoffFunction
-from wlns.nse_solver import _PAIRS, leray_project, nonlinear_term
+from wlns.nse_solver import _PAIR_INDEX, _PAIRS, _project, leray_project, nonlinear_term
 
 
 def reference_symbols(n: int, length: float):
@@ -81,6 +87,72 @@ def batched_product_modes(u: np.ndarray, block, weight: np.ndarray | None = None
             if weight is not None:
                 products[idx] *= weight
     return block.gather(_forward(products))
+
+
+def full_transform_inverse(block, kept: np.ndarray) -> np.ndarray:
+    """``scipy.fft.irfftn`` of the half spectrum holding ``kept``, every field transformed."""
+    import scipy.fft
+
+    n = block.n
+    return scipy.fft.irfftn(block.scatter(kept), s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+def full_transform_products(u: np.ndarray, block, weight: np.ndarray | None = None) -> np.ndarray:
+    """``block`` of the ``scipy.fft.rfftn`` of all six ``u_i u_j`` (times ``weight``)."""
+    import scipy.fft
+
+    products = np.stack([u[i] * u[j] for i, j in _PAIRS])
+    if weight is not None:
+        products *= weight
+    return block.gather(scipy.fft.rfftn(products, axes=(-3, -2, -1), norm="forward"))
+
+
+def full_transform_step(grid, kept: np.ndarray, config) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's RK4 step on the kept block, every transform done through ``scipy.fft``.
+
+    Each stage inverts all three components and transforms all six
+    products, zero or not.  Returns the new block and its physical values.
+    """
+    dt = config.dt
+    block = _block(grid, config.dealias_fraction)
+    decay_half, decay_full = block.decay(config.viscosity, dt)
+    kx, ky, kz, _ = block.symbols
+
+    def advect(b):
+        products = full_transform_products(full_transform_inverse(block, b), block)
+        out = np.stack([kx * products[p] + ky * products[q] + kz * products[r]
+                        for p, q, r in _PAIR_INDEX])
+        out *= 1j
+        return _project(out, *block.symbols)
+
+    a1 = advect(kept)
+    a2 = advect(decay_half * (kept - 0.5 * dt * a1))
+    a3 = advect(decay_half * kept - 0.5 * dt * a2)
+    a4 = advect(decay_full * kept - dt * decay_half * a3)
+    new = decay_full * kept - (dt / 6.0) * (decay_full * a1 + 2.0 * decay_half * (a2 + a3) + a4)
+    new = _project(new, *block.symbols)
+    return new, full_transform_inverse(block, new)
+
+
+def stream_flow(grid: Grid, seed: int, amplitude: float = 1.0) -> VectorField:
+    """``(d psi/dy, -d psi/dx, 0)`` of a random stream function ``psi(x, y)``.
+
+    ``psi`` sums cosines of the wavevectors ``(a, b)``, ``|a|, |b| <= 3``,
+    with random amplitudes and phases, scaled to ``max|u| = amplitude``;
+    ``u_z`` is bitwise ``+0``.
+    """
+    rng = np.random.default_rng(seed)
+    x, y, _ = grid.coordinates
+    k = TWO_PI / grid.length
+    ux, uy = np.zeros(grid.shape), np.zeros(grid.shape)
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            c, phase = rng.normal(), rng.uniform(0.0, TWO_PI)
+            s = c * np.sin(k * (a * x + b * y) + phase)
+            ux -= b * s
+            uy += a * s
+    scale = amplitude / np.sqrt(ux**2 + uy**2).max()
+    return VectorField.from_arrays(grid, ux * scale, uy * scale, np.zeros(grid.shape))
 
 
 def scalar_phi_increment(s_lo: float, s_hi: float) -> float:

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,40 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
         assert "[solver] mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, key",
+        [(f"direction = {d}", "[solver] direction")
+         for d in ("0,0,0", "nan,0,0", "inf,0,0", "1e-320,0,0")]
+        + [(f"amplitude = {a}", "[solver] amplitude") for a in ("inf", "-inf", "nan")],
+    )
+    def test_degenerate_single_mode_rejected_before_output(self, tmp_path, capsys, setting, key):
+        cfg = write_config(
+            tmp_path,
+            f"[solver]\nn = 8\nt_end = 0.002\ninitial_condition = single_mode\n{setting}\n",
+        )
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert key in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "random\nseed = 3"])
+    def test_zero_amplitude_run_writes_zero_snapshots(self, tmp_path, kind):
+        cfg = write_config(
+            tmp_path,
+            f"[solver]\nn = 8\nt_end = 0.004\ninitial_condition = {kind}\namplitude = 0\n\n"
+            "[diagnostics]\nq = 6.0\n",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        snapshots = sorted(out.glob("run_*.bin"))
+        assert len(snapshots) == 5
+        for path in snapshots:
+            assert not read_vector_snapshot(path)[1].as_array().any()
 
     @pytest.mark.parametrize("prefix", ["../escaped", "sub/run", "manifest.json/x"])
     def test_prefix_with_path_separator_rejected_before_output(self, tmp_path, capsys, prefix):

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import hermitian_defect, reference_symbols, sample_scalar, sample_vector
+from conftest import hermitian_defect, reference_symbols, sample_scalar, sample_vector, stream_flow
 
 from wlns.field import (
     Grid,
@@ -198,6 +198,21 @@ class TestFieldCalculusOracle:
         close(gradient_squares(scalar), sum(g**2 for g in grad))
         close(gradient_squares(vector), v_grad2)
 
+    def test_gradient_squares_skip_only_a_zero_component(self):
+        # the bitwise-zero u_z is not transformed; every bit stays that of
+        # all nine derivatives transformed through scipy.fft
+        import scipy.fft
+
+        grid = Grid(n=16)
+        u = stream_flow(grid, seed=2)
+        kx, ky, kz, _ = _block(grid, 1.0).symbols
+        want = np.zeros(grid.shape)
+        for component in u.components:
+            modes = scipy.fft.rfftn(component.values, norm="forward")
+            for k in (kx, ky, kz):
+                want += scipy.fft.irfftn(1j * k * modes, s=grid.shape, norm="forward") ** 2
+        assert gradient_squares(u).tobytes() == want.tobytes()
+
 
 class TestKeptBlock:
     """The solver's kept-mode block against the masked half spectrum."""
@@ -234,6 +249,28 @@ class TestKeptBlock:
         for field in np.ndindex(batch):
             block.forward(values[field], pruned[field])
         assert np.array_equal(pruned, block.gather(modes))
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_zero_field_of_a_batch_is_not_transformed(self, monkeypatch, n, fraction):
+        # a field of +0 modes gets +0 values with no transform; one holding
+        # a -0 is not bitwise zero and is transformed
+        import scipy.fft
+
+        grid = Grid(n=n)
+        block = _block(grid, fraction)
+        rng = np.random.default_rng(n)
+        shape = (4, *block.shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b[1:3] = 0.0
+        b[2, 1, 1, 1] = complex(-0.0, 0.0)
+        irfft, calls = np.fft.irfft, []
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+        got = block.inverse(b)
+        assert len(calls) == 3
+        want = scipy.fft.irfftn(block.scatter(b), s=grid.shape, axes=(-3, -2, -1), norm="forward")
+        assert got.tobytes() == want.tobytes()
+        assert not got[1].view(np.uint64).any()
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
     @pytest.mark.parametrize("n", [8, 24, 48, 64])

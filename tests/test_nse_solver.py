@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from conftest import (
     batched_product_modes,
+    full_transform_inverse,
+    full_transform_products,
+    full_transform_step,
     gaussian_bump,
     hermitian_defect,
     masked_step,
     reference_symbols,
+    stream_flow,
 )
 
 from wlns.field import (
@@ -48,6 +52,7 @@ from wlns.nse_solver import (
     taylor_green,
     to_physical,
     to_spectral,
+    _PAIRS,
     _product_modes,
 )
 
@@ -73,6 +78,12 @@ class TestInitialConditions:
         grid = Grid(n=16)
         with pytest.raises(ValueError, match="orthogonal"):
             single_mode(grid, mode=(0, 0, 1), direction=(0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                           (math.inf, 0.0, 0.0), (1e-320, 0.0, 0.0)])
+    def test_single_mode_rejects_a_direction_it_cannot_normalize(self, direction):
+        with pytest.raises(ValueError, match="finite, nonzero norm"):
+            single_mode(Grid(n=8), mode=(0, 0, 1), direction=direction)
 
     def test_random_divfree_properties(self):
         grid = Grid(n=16)
@@ -260,6 +271,33 @@ class TestPressure:
         assert np.max(np.abs(p1.values + p2.values - P.values)) < 1e-10
 
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_zero_component_matches_full_transforms(self, split):
+        # the products holding the bitwise-zero u_z are not transformed;
+        # the pressure keeps the bits of the solve that transforms all six
+        u = stream_flow(Grid(n=16), seed=4, amplitude=2.0)
+        high = (u.magnitude().values >= 1.0).astype(np.float64)
+        block = _block(u.grid, 2.0 / 3.0)
+        *k, k2 = block.symbols
+
+        def solve(weight):
+            products = full_transform_products(u.as_array(), block, weight)
+            phat = np.zeros(block.shape, dtype=np.complex128)
+            for idx, (i, j) in enumerate(_PAIRS):
+                phat -= (k[i] * k[j] * (1.0 if i == j else 2.0)) * products[idx]
+            phat /= k2
+            phat[0, 0, 0] = 0.0
+            return full_transform_inverse(block, phat)
+
+        if split:
+            got = [p.values for p in pressure_split(u)]
+            want = [solve(high), solve(1.0 - high)]
+        else:
+            got, want = [pressure_from_velocity(u).values], [solve(None)]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 class TestStepping:
     def test_zero_stays_zero(self):
         grid = Grid(n=8)
@@ -342,6 +380,24 @@ class TestStepping:
         assert err.result is not None
         assert len(err.result.snapshots) == 1
         assert err.result.trace is not None
+
+    @pytest.mark.parametrize("flow", ["random", "stream"])
+    def test_rk4_is_fourth_order_on_nonlinear_flows(self, flow):
+        # halving dt divides the difference of successive runs by 2^4;
+        # the 2-D stream flow holds the path that skips the zero u_z to it
+        grid = Grid(n=16)
+        make = random_divfree if flow == "random" else stream_flow
+        u0 = make(grid, seed=1, amplitude=2.0)
+        finals = []
+        for dt in (8e-3, 4e-3, 2e-3, 1e-3):
+            config = SolverConfig(viscosity=0.05, dt=dt, t_end=0.08)
+            state = SolverState.from_velocity(u0, config)
+            for _ in range(config.n_steps):
+                state = step(state, config)
+            finals.append(state.physical)
+        diffs = [np.linalg.norm(a - b) for a, b in zip(finals, finals[1:])]
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -537,6 +593,39 @@ class TestBlockStep:
         block = _block(grid, fraction)
         want = batched_product_modes(u.as_array(), block, weight)
         assert np.array_equal(_product_modes(u.as_array(), block, weight), want)
+
+    @pytest.mark.parametrize("flow, transforms", [("taylor-green", 20), ("random", 36)])
+    def test_transforms_per_step(self, monkeypatch, flow, transforms):
+        # the bitwise-zero u_z of Taylor-Green costs no inverse and no
+        # product transform: 8 + 12 of the 12 + 24 rfft and irfft calls
+        grid = Grid(n=32)
+        u0 = taylor_green(grid) if flow == "taylor-green" else random_divfree(grid, seed=1)
+        config = SolverConfig()
+        state = SolverState.from_velocity(u0, config)
+        state.physical
+        calls = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, _f=transform, **k: calls.append(1) or _f(*a, **k)
+            )
+        step(state, config)
+        assert len(calls) == transforms
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_zero_component_step_matches_full_transform_step(self, n):
+        # a nonlinear 2-D flow: the kept block and the values keep every
+        # bit of the step that transforms every component and product
+        grid = Grid(n=n)
+        config = SolverConfig(viscosity=0.05, dt=2e-3, t_end=0.01)
+        state = SolverState.from_velocity(stream_flow(grid, seed=n, amplitude=2.0), config)
+        kept = state.kept
+        for _ in range(5):
+            state = step(state, config)
+            kept, physical = full_transform_step(grid, kept, config)
+            assert not state.kept[2].view(np.uint64).any()
+            assert state.kept.tobytes() == kept.tobytes()
+            assert state.physical.tobytes() == physical.tobytes()
 
     def test_overflow_in_product_halts_step(self):
         grid = Grid(n=16)
