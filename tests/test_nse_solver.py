@@ -270,7 +270,6 @@ class TestPressure:
         P = pressure_from_velocity(u)
         assert np.max(np.abs(p1.values + p2.values - P.values)) < 1e-10
 
-
     @pytest.mark.parametrize("split", [False, True])
     def test_zero_component_matches_full_transforms(self, split):
         # the products holding the bitwise-zero u_z are not transformed;
@@ -597,7 +596,7 @@ class TestBlockStep:
     @pytest.mark.parametrize("flow, transforms", [("taylor-green", 20), ("random", 36)])
     def test_transforms_per_step(self, monkeypatch, flow, transforms):
         # the bitwise-zero u_z of Taylor-Green costs no inverse and no
-        # product transform: 8 + 12 of the 12 + 24 rfft and irfft calls
+        # product transform: a step's 12 irfft and 24 rfft calls drop to 8 and 12
         grid = Grid(n=32)
         u0 = taylor_green(grid) if flow == "taylor-green" else random_divfree(grid, seed=1)
         config = SolverConfig()
