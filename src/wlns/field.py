@@ -214,6 +214,12 @@ class _Block:
     keeps the projection/pressure algebra Hermitian and exactly consistent
     with them; the substituted 1 only appears where every symbol vanishes,
     and there the numerators vanish too.
+
+    A zero field costs no transform.  :meth:`forward` gives values that are
+    all ``+-0`` ``+0`` modes; its callers only add or subtract modes, so at
+    most the signs of those zeros change.  :meth:`inverse` returns values,
+    so it tests bits: a ``+0`` block gets ``+0`` values, the bits of its
+    transform, and a block holding a ``-0.0`` is transformed.
     """
 
     def __init__(self, grid: Grid, fraction: float):
@@ -276,11 +282,14 @@ class _Block:
         return np.empty((self.n, self.n, self.width), dtype=complex)
 
     def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``gather(_forward(values), out=out)`` bit for bit for one real field.
+        """``gather(_forward(values), out=out)`` for one real field, bit for bit but zero signs.
 
         Axes z, x, y: the kept z columns are scaled into a contiguous
         buffer, the x pass covers only them and the y pass the kept x rows.
         """
+        if not values.any():
+            out[...] = 0.0
+            return out
         columns = self._columns
         parts = np.fft.rfft(values, axis=-1).view(np.float64)[..., : 2 * self.width]
         np.multiply(parts, 1.0 / self.n**3, out=columns.view(np.float64))
@@ -295,8 +304,7 @@ class _Block:
         Unscaled ``ifft`` along x, then y, then ``irfft`` along z, skipping
         lines that stay zero, one field of a batch at a time through the
         buffers of :attr:`_lines`, so a call allocates little beyond its
-        result.  A field whose modes are all bitwise ``+0`` has all-``+0``
-        values, which it gets without a transform.
+        result.
         """
         x_lines, y_lines = self._lines
         y_kept = y_lines[..., : self.width]

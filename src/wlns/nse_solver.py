@@ -116,7 +116,7 @@ def single_mode(
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(direction)
     if not 0.0 < norm < math.inf:  # zero, non-finite, or out of float range once squared
-        raise ValueError("direction needs a finite, nonzero norm")
+        raise ValueError(f"direction's squared norm must be a positive finite float, got {norm}")
     k = 2.0 * np.pi / grid.length * mode
     if abs(float(direction @ k)) > 1e-12 * (1.0 + np.linalg.norm(k)):
         raise ValueError("direction must be orthogonal to the wavevector")
@@ -199,19 +199,13 @@ def _product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np
     ``u`` is the stacked ``(3, n, n, n)`` velocity; an optional pointwise
     ``weight`` multiplies every product before its transform.  Each product
     is formed in one reused buffer and transformed alone, so only one
-    product and its transform are live at a time.  A product with a factor
-    that has no nonzero value gets ``+0`` modes and no transform: its modes
-    are only added to or subtracted from others, so at most the signs of
-    its own zeros change.
+    product and its transform are live at a time; one with no nonzero value,
+    such as one with the ``u_z`` of a 2-D flow, costs no transform (``_Block``).
     """
     out = np.empty((len(_PAIRS), *block.shape), dtype=np.complex128)
     product = np.empty(u.shape[1:])
-    zero = [not component.any() for component in u]
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (i, j) in enumerate(_PAIRS):
-            if zero[i] or zero[j]:
-                out[idx] = 0.0
-                continue
             np.multiply(u[i], u[j], out=product)
             if weight is not None:
                 product *= weight

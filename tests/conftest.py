@@ -7,8 +7,8 @@ numpy-FFT oracles in the test modules import it from here.
 oracle for the step on the kept block.  ``batched_product_modes`` is
 the six quadratic products transformed as one stack, the oracle for the
 solver's one-product-at-a-time transforms.  ``full_transform_step`` is the
-solver's step with every component and every product transformed through
-``scipy.fft``, the oracle for the step that skips the transforms of a
+solver's step with every component inverted through ``scipy.fft`` and every
+product transformed, the oracle for the step that skips the transforms of a
 bitwise-zero component; ``stream_flow`` is a nonlinear 2-D flow, whose
 ``u_z`` is such a component.  ``scalar_phi_increment``
 and ``scalar_implicit_check`` are the scalar Gauss-Legendre rule and the
@@ -97,21 +97,12 @@ def full_transform_inverse(block, kept: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(block.scatter(kept), s=(n, n, n), axes=(-3, -2, -1), norm="forward")
 
 
-def full_transform_products(u: np.ndarray, block, weight: np.ndarray | None = None) -> np.ndarray:
-    """``block`` of the ``scipy.fft.rfftn`` of all six ``u_i u_j`` (times ``weight``)."""
-    import scipy.fft
-
-    products = np.stack([u[i] * u[j] for i, j in _PAIRS])
-    if weight is not None:
-        products *= weight
-    return block.gather(scipy.fft.rfftn(products, axes=(-3, -2, -1), norm="forward"))
-
-
 def full_transform_step(grid, kept: np.ndarray, config) -> tuple[np.ndarray, np.ndarray]:
-    """The solver's RK4 step on the kept block, every transform done through ``scipy.fft``.
+    """The solver's RK4 step on the kept block, no transform skipped.
 
-    Each stage inverts all three components and transforms all six
-    products, zero or not.  Returns the new block and its physical values.
+    Each stage inverts all three components through ``scipy.fft`` and
+    transforms all six products as one stack (``batched_product_modes``),
+    zero or not.  Returns the new block and its physical values.
     """
     dt = config.dt
     block = _block(grid, config.dealias_fraction)
@@ -119,7 +110,7 @@ def full_transform_step(grid, kept: np.ndarray, config) -> tuple[np.ndarray, np.
     kx, ky, kz, _ = block.symbols
 
     def advect(b):
-        products = full_transform_products(full_transform_inverse(block, b), block)
+        products = batched_product_modes(full_transform_inverse(block, b), block)
         out = np.stack([kx * products[p] + ky * products[q] + kz * products[r]
                         for p, q, r in _PAIR_INDEX])
         out *= 1j

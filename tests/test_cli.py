@@ -294,7 +294,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "setting, key",
         [(f"direction = {d}", "[solver] direction")
-         for d in ("0,0,0", "nan,0,0", "inf,0,0", "1e-320,0,0")]
+         for d in ("0,0,0", "nan,0,0", "inf,0,0", "1e-320,0,0", "1e200,0,0")]
         + [(f"amplitude = {a}", "[solver] amplitude") for a in ("inf", "-inf", "nan")],
     )
     def test_degenerate_single_mode_rejected_before_output(self, tmp_path, capsys, setting, key):

@@ -275,6 +275,23 @@ class TestKeptBlock:
         assert block.inverse(np.asfortranarray(b)).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_zero_values_get_plus_zero_modes_without_a_transform(self, monkeypatch, n, fraction):
+        # values of either zero sign: the full transform's modes are zeros,
+        # the pruned one writes +0 and calls no rfft
+        grid = Grid(n=n)
+        block = _block(grid, fraction)
+        values = np.zeros(grid.shape)
+        values[::2] = -0.0
+        want = block.gather(_forward(values))
+        rfft, calls = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        got = block.forward(values, np.full(block.shape, np.nan, dtype=complex))
+        assert not calls
+        assert not got.view(np.uint64).any()
+        assert np.all(want == 0.0)
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
     @pytest.mark.parametrize("n", [8, 24, 48, 64])
     def test_block_is_the_dealias_mask(self, n, fraction):
         grid = Grid(n=n)

@@ -8,7 +8,6 @@ import pytest
 from conftest import (
     batched_product_modes,
     full_transform_inverse,
-    full_transform_products,
     full_transform_step,
     gaussian_bump,
     hermitian_defect,
@@ -80,9 +79,11 @@ class TestInitialConditions:
             single_mode(grid, mode=(0, 0, 1), direction=(0.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
-                                           (math.inf, 0.0, 0.0), (1e-320, 0.0, 0.0)])
+                                           (math.inf, 0.0, 0.0), (1e-320, 0.0, 0.0),
+                                           (1e200, 0.0, 0.0)])
     def test_single_mode_rejects_a_direction_it_cannot_normalize(self, direction):
-        with pytest.raises(ValueError, match="finite, nonzero norm"):
+        # 1e-320 squared underflows to 0 and 1e200 squared overflows to inf
+        with pytest.raises(ValueError, match="squared norm must be a positive finite float"):
             single_mode(Grid(n=8), mode=(0, 0, 1), direction=direction)
 
     def test_random_divfree_properties(self):
@@ -280,7 +281,7 @@ class TestPressure:
         *k, k2 = block.symbols
 
         def solve(weight):
-            products = full_transform_products(u.as_array(), block, weight)
+            products = batched_product_modes(u.as_array(), block, weight)
             phat = np.zeros(block.shape, dtype=np.complex128)
             for idx, (i, j) in enumerate(_PAIRS):
                 phat -= (k[i] * k[j] * (1.0 if i == j else 2.0)) * products[idx]
@@ -586,12 +587,21 @@ class TestBlockStep:
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
     @pytest.mark.parametrize("n", [16, 24, 48])
     def test_products_match_batched_transform(self, n, fraction, weighted):
-        grid = Grid(n=n)
-        u = random_divfree(grid, seed=n + 1, amplitude=2.0)
-        weight = (u.magnitude().values >= 1.0).astype(np.float64) if weighted else None
-        block = _block(grid, fraction)
-        want = batched_product_modes(u.as_array(), block, weight)
-        assert np.array_equal(_product_modes(u.as_array(), block, weight), want)
+        # bit for bit on a random field; on the stream flow, whose products
+        # with the +0 u_z get +0 modes without a transform, bit for bit but
+        # the signs of zeros: adding +0 turns a -0 into +0 and keeps every other bit
+        block = _block(Grid(n=n), fraction)
+        with_uz = [idx for idx, pair in enumerate(_PAIRS) if 2 in pair]
+        for make in (random_divfree, stream_flow):
+            u = make(Grid(n=n), seed=n + 1, amplitude=2.0)
+            weight = (u.magnitude().values >= 1.0).astype(np.float64) if weighted else None
+            want = batched_product_modes(u.as_array(), block, weight)
+            got = _product_modes(u.as_array(), block, weight)
+            if make is random_divfree:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+                assert not got[with_uz].view(np.uint64).any()
 
     @pytest.mark.parametrize("flow, transforms", [("taylor-green", 20), ("random", 36)])
     def test_transforms_per_step(self, monkeypatch, flow, transforms):
