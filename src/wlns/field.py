@@ -287,7 +287,7 @@ class _Block:
         Axes z, x, y: the kept z columns are scaled into a contiguous
         buffer, the x pass covers only them and the y pass the kept x rows.
         """
-        if not values.any():
+        if not values[0].any() and not values.any():  # one plane settles most fields
             out[...] = 0.0
             return out
         columns = self._columns

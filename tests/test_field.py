@@ -290,6 +290,11 @@ class TestKeptBlock:
         assert not calls
         assert not got.view(np.uint64).any()
         assert np.all(want == 0.0)
+        # a zero first plane alone does not skip the transform
+        values[-1, -1, -1] = 1.0
+        got = block.forward(values, np.empty(block.shape, dtype=complex))
+        assert calls
+        assert got.tobytes() == block.gather(_forward(values)).tobytes()
 
     @pytest.mark.parametrize("fraction", FRACTIONS)
     @pytest.mark.parametrize("n", [8, 24, 48, 64])
