@@ -19,7 +19,7 @@ _EXPORTS = {
     "field": (
         "Grid", "ScalarField", "VectorField", "SpectralField", "Trajectory",
         "forward_transform", "inverse_transform", "gradient", "divergence", "laplacian",
-        "rescale", "ball_mask", "write_snapshot", "read_snapshot",
+        "rescale", "ball_mask", "write_snapshot", "read_vector_snapshot",
     ),
     "lorentz": (
         "DistributionFunction", "NormReport", "distribution", "weak_norm", "lebesgue_norm",

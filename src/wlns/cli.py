@@ -162,8 +162,8 @@ def _load_run_config(path: str):
     elif kind == "single_mode":
         raw_mode = solver.get("mode", "0,0,1")
         mode = _parse_triplet(raw_mode, "[solver] mode")
-        if not all(m.is_integer() for m in mode):  # also false for inf and nan
-            raise ValueError(f"[solver] mode needs integer components, got '{raw_mode}'")
+        if not all(m.is_integer() and abs(m) < 2**63 for m in mode):  # false for inf and nan
+            raise ValueError(f"[solver] mode needs int64 components, got '{raw_mode}'")
         direction = _parse_triplet(solver.get("direction", "1,0,0"), "[solver] direction")
         try:
             u0 = single_mode(
@@ -227,6 +227,8 @@ def _cmd_simulate(args) -> int:
         _, *initial, config, q, seed, prefix, snaps, snapshot = _load_run_config(args.config)
     except (OSError, configparser.Error, ValueError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:  # every array the config builds has n^3 entries
+        return _fail(f"[solver] n: {exc}")
 
     manifest = RunManifest("simulate", snapshot, seed=seed).start(args.out)
     written = []
@@ -268,7 +270,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from wlns.criteria import CriterionTrace, evaluate_row
-    from wlns.degiorgi import CylinderMap, CylinderScheme, level_energy, window_times
+    from wlns.degiorgi import CylinderMap, CylinderScheme, level_energy
     from wlns.field import Trajectory, read_snapshot_header, read_vector_snapshot
 
     import numpy as np
@@ -279,11 +281,9 @@ def _cmd_diagnose(args) -> int:
     times, grids = [], []
     for p in paths:
         try:
-            t, grid, count = read_snapshot_header(p)
+            t, grid = read_snapshot_header(p)
         except ValueError as exc:
             return _fail(f"{p}: {exc}")
-        if count != 3:
-            return _fail(f"{p}: expected 3 fields, found {count}")
         if grids and grid != grids[0]:
             return _fail(f"{p}: grid {grid} differs from {grids[0]} of {paths[0]}")
         times.append(t)
@@ -296,6 +296,7 @@ def _cmd_diagnose(args) -> int:
     grid = grids[0]
     center = None
     if args.cylinder_scale is not None:
+        # level_energy checks the map and the windows before it reads a snapshot
         try:
             center = (
                 _parse_triplet(args.cylinder_center, "--cylinder-center")
@@ -303,9 +304,7 @@ def _cmd_diagnose(args) -> int:
                 else (grid.length / 2.0,) * 3
             )
             cmap = CylinderMap(center=center, scale=args.cylinder_scale, t_end=times[-1])
-            cmap.validate(grid)
             scheme = CylinderScheme(args.kmax)
-            window_times(times, scheme, cmap)
         except ValueError as exc:
             return _fail(str(exc))
 
@@ -347,6 +346,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_counterexample(args) -> int:
     from wlns.counterexample import (
         DyadicSchedule,
+        claim2_lower_bound,
         criterion_vs_lorentz,
         write_schedule_csv,
     )
@@ -355,8 +355,13 @@ def _cmd_counterexample(args) -> int:
     try:
         schedule = DyadicSchedule(q=args.q, t_inf=args.t_inf)
         report = criterion_vs_lorentz(schedule, r=args.r, n_terms=args.terms)
+        claim2_lower_bound(schedule, 2, args.r)  # overflows as the schedule table would
     except ValueError as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(f"--terms {args.terms}: {exc}")
+    except OverflowError:
+        return _fail(f"--r {args.r!r} with --t-inf {args.t_inf!r} overflows a float")
 
     manifest = RunManifest("counterexample", _options(args)).start(args.out)
 

@@ -521,30 +521,22 @@ def ball_boundary_cells(grid: Grid, center: Sequence[float], radius: float) -> i
 # Binary snapshots
 #
 # Little-endian layout: magic "WLNS", version u32, n u32, length f64,
-# time f64, field count u32, then each field as n^3 float64 values with
-# the x index varying fastest.
+# time f64, field count u32 (always 3), then the three velocity components
+# as n^3 float64 values each, with the x index varying fastest.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sII d d I")
 
 
-def write_snapshot(path, time: float, fields: Sequence[ScalarField] | VectorField) -> None:
-    """Write ``fields`` at ``path`` through a temporary file, so ``path`` is
+def write_snapshot(path, time: float, u: VectorField) -> None:
+    """Write ``u`` at ``path`` through a temporary file, so ``path`` is
     either absent or complete, even if the write is interrupted."""
-    if isinstance(fields, VectorField):
-        fields = fields.components
-    if not fields:
-        raise ValueError("snapshot needs at least one field")
-    grid = fields[0].grid
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError("snapshot fields must share one grid")
     partial = Path(f"{path}.partial")
     try:
         with open(partial, "wb") as fh:
-            head = (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.n, grid.length, float(time), len(fields))
+            head = (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, u.grid.n, u.grid.length, float(time), 3)
             fh.write(_HEADER.pack(*head))
-            for f in fields:
+            for f in u.components:
                 payload = np.ascontiguousarray(f.values.ravel(order="F"), dtype="<f8")
                 fh.write(payload.tobytes())
         os.replace(partial, path)
@@ -553,8 +545,8 @@ def write_snapshot(path, time: float, fields: Sequence[ScalarField] | VectorFiel
         raise
 
 
-def read_snapshot_header(path) -> tuple[float, Grid, int]:
-    """``(time, grid, field count)`` of a snapshot, checking the file's exact size."""
+def read_snapshot_header(path) -> tuple[float, Grid]:
+    """``(time, grid)`` of a velocity snapshot, checking its field count and exact size."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
     if len(head) != _HEADER.size:
@@ -564,33 +556,26 @@ def read_snapshot_header(path) -> tuple[float, Grid, int]:
         raise SnapshotFormatError(f"bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
-    if count < 1:
-        raise SnapshotFormatError("snapshot holds no fields")
+    if count != 3:
+        raise SnapshotFormatError(f"expected 3 fields, found {count}")
     grid = Grid(n=n, length=length)
-    excess = os.path.getsize(path) - _HEADER.size - 8 * n**3 * count
+    excess = os.path.getsize(path) - _HEADER.size - 3 * 8 * n**3
     if excess:
         raise SnapshotFormatError(
             "truncated snapshot payload" if excess < 0 else "trailing bytes after snapshot payload"
         )
-    return time, grid, count
+    return time, grid
 
 
-def read_snapshot(path) -> tuple[float, Grid, list[ScalarField]]:
-    time, grid, count = read_snapshot_header(path)
+def read_vector_snapshot(path) -> tuple[float, VectorField]:
+    time, grid = read_snapshot_header(path)
     n = grid.n
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
         fields = []
-        for _ in range(count):
+        for _ in range(3):
             values = np.frombuffer(fh.read(8 * n**3), dtype="<f8").reshape((n, n, n), order="F")
             fields.append(ScalarField(grid, values.copy()))
-    return time, grid, fields
-
-
-def read_vector_snapshot(path) -> tuple[float, VectorField]:
-    time, grid, fields = read_snapshot(path)
-    if len(fields) != 3:
-        raise SnapshotFormatError(f"expected 3 fields, found {len(fields)}")
     return time, VectorField(grid, *fields)
 
 

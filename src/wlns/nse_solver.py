@@ -39,8 +39,8 @@ from wlns.field import (
 class BlowUpError(RuntimeError):
     """Raised when the state leaves the resolvable regime.
 
-    ``last_time`` is the last time with a valid state; ``result`` holds the
-    partial trajectory when :func:`run` raised it, and ``None`` otherwise.
+    ``last_time`` is the last time with a valid state (NaN if none); ``result``
+    holds the partial trajectory when :func:`run` raised it, and ``None`` otherwise.
     """
 
     def __init__(self, message: str, last_time: float):
@@ -285,8 +285,10 @@ class SolverState:
 
     @classmethod
     def from_velocity(cls, u: VectorField, config: SolverConfig) -> "SolverState":
-        block = _block(u.grid, config.dealias_fraction)
-        kept = _project(block.gather(to_spectral(u)), *block.symbols)
+        # values or wavenumbers past the float range give non-finite modes; run halts on them
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = _block(u.grid, config.dealias_fraction)
+            kept = _project(block.gather(to_spectral(u)), *block.symbols)
         return cls(u.grid, 0.0, 0, kept, config.dealias_fraction)
 
     @property
@@ -368,10 +370,10 @@ def run(
     A criterion trace is collected at the snapshot cadence when ``q`` is
     given.  With a ``sink``, ``sink(t, u)`` receives each snapshot as it is
     recorded and ``result.snapshots`` stays empty, so memory does not grow
-    with the trajectory.  Blow-up (non-finite modes or ``max|u|`` past the
-    threshold) raises :class:`BlowUpError`; it, a ``KeyboardInterrupt`` and a
-    ``MemoryError`` leave with the partial result as their ``result``
-    attribute.
+    with the trajectory.  Blow-up (a non-finite initial state, non-finite
+    modes or ``max|u|`` past the threshold) raises :class:`BlowUpError`; it,
+    a ``KeyboardInterrupt`` and a ``MemoryError`` leave with the partial
+    result as their ``result`` attribute.
     """
     grid = u0.grid
     state = SolverState.from_velocity(u0, config)
@@ -403,6 +405,9 @@ def run(
         )
 
     try:
+        # a non-finite initial state halts here, as a later one does in step or at max|u|
+        if not (np.isfinite(state.kept).all() and np.isfinite(state.physical).all()):
+            raise BlowUpError("non-finite initial state", last_time=math.nan)
         record(state)
         n_steps = config.n_steps
         for _ in range(n_steps):

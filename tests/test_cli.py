@@ -311,6 +311,48 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert key in err and "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "amplitude = 1.7e308",
+            "amplitude = 1.7e308\ninitial_condition = single_mode\nmode = 1,0,0\ndirection = 0,1,0",
+            "amplitude = 1.7e308\ninitial_condition = random\nseed = 1",
+            "box_length = 1e-310",  # its wavenumbers overflow
+        ],
+        ids=["taylor-green", "single-mode", "random", "tiny-box"],
+    )
+    def test_non_finite_initial_state_halts(self, tmp_path, capsys, setting):
+        cfg = write_config(
+            tmp_path, f"[solver]\nn = 16\nt_end = 0.002\n{setting}\n\n[diagnostics]\nq = 6.0\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == "halted: non-finite initial state\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halted"] == "non-finite initial state"
+        assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("n = 16\ninitial_condition = single_mode\nmode = 0,0,1e30",
+             "error: [solver] mode needs int64 components, got '0,0,1e30'\n"),
+            # 7.11 PiB is past any address space, so the first array fails at once
+            ("n = 100000", "error: [solver] n: Unable to allocate 7.11 PiB for an array"),
+        ],
+        ids=["mode", "n"],
+    )
+    def test_out_of_range_setup_rejected_before_output(self, tmp_path, capsys, setting, message):
+        cfg = write_config(tmp_path, f"[solver]\n{setting}\nt_end = 0.002\n")
+        out = tmp_path / "x"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
     @pytest.mark.parametrize("kind", ["taylor_green", "random\nseed = 3"])
     def test_zero_amplitude_run_writes_zero_snapshots(self, tmp_path, kind):
         cfg = write_config(
@@ -437,6 +479,46 @@ class TestDiagnose:
         )
         assert code == 1
         assert "error: window (T_0, 1] holds 2 snapshots; need >= 10" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "names, scale, message",
+        [
+            (None, "5",
+             "error: mapped B(-1) has diameter 45 exceeding the box length 6.283; shrink the scale\n"),
+            (("tg_000000.bin", "tg_000010.bin"), "0.3",
+             "error: window (T_0, 1] holds 2 snapshots; need >= 10 (reference cadence <= 0.222)\n"),
+        ],
+        ids=["too-large", "sparse-windows"],
+    )
+    def test_cylinder_checks_precede_every_read(
+        self, taylor_green_run, tmp_path, capsys, monkeypatch, names, scale, message
+    ):
+        snaps = taylor_green_run
+        if names is not None:
+            snaps = tmp_path / "snaps"
+            snaps.mkdir()
+            for name in names:
+                shutil.copy(taylor_green_run / name, snaps)
+        monkeypatch.setattr("wlns.field.read_vector_snapshot", read_before_out_check)
+        out = tmp_path / "diag"
+        argv = ["diagnose", str(snaps), "--q", "6.0", "--out", str(out), "--cylinder-scale", scale]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_wrong_field_count_rejected_before_output(
+        self, taylor_green_run, tmp_path, capsys, count
+    ):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(taylor_green_run, snaps, ignore=shutil.ignore_patterns("*.csv", "*.json"))
+        bad = snaps / "tg_000004.bin"
+        raw = bad.read_bytes()
+        bad.write_bytes(raw[:28] + struct.pack("<I", count) + raw[32:])
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(snaps), "--q", "6.0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: expected 3 fields, found {count}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("cylinders", [False, True])
@@ -590,6 +672,39 @@ class TestCounterexample:
         assert main(["counterexample", "--r", r, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: secondary exponent r must lie in (1, inf)")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 7.11 PiB is past any address space, so the first array fails at once
+            (["--terms", "1000000000000000"],
+             "error: --terms 1000000000000000: Unable to allocate 7.11 PiB for an array"),
+            # the time norm's layer-cake blocks, and the claim-2 terms t_inf^(r/p)
+            (["--r", "1e10"], "error: --r 10000000000.0 with --t-inf 1.0 overflows a float\n"),
+            (["--r", "300", "--t-inf", "1e10"],
+             "error: --r 300.0 with --t-inf 10000000000.0 overflows a float\n"),
+        ],
+        ids=["terms", "r", "t-inf"],
+    )
+    def test_out_of_range_rejected_before_output(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "cx"
+        assert main(["counterexample", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_large_r_gives_finite_tables(self, tmp_path, capsys):
+        # 2^(2r) overflows from r = 512 on, but no output does
+        out = tmp_path / "cx"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["counterexample", "--r", "512", "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == ""
+        rows = np.genfromtxt(out / "separation.csv", delimiter=",", names=True)
+        assert np.all(np.isfinite(rows["time_norm"]))
+        schedule = np.genfromtxt(out / "schedule.csv", delimiter=",", names=True)
+        assert np.all(np.isfinite(schedule["partial_claim2_r"]))
 
 
 class TestRecursive:

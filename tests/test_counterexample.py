@@ -272,6 +272,13 @@ class TestClaim2:
             report.comparison_closed_form, abs=1e-12
         )
 
+    def test_closed_form_past_the_float_range_of_its_powers(self):
+        # 2^(2r) overflows from r = 512 on; the comparison series stays tiny and finite
+        report = claim2_lower_bound(DyadicSchedule(q=6.0), 50, r=512.0)
+        assert 0.0 < report.comparison_closed_form < 1e-100
+        assert report.comparison_partial == pytest.approx(report.comparison_closed_form, rel=1e-12)
+        assert np.all(np.isfinite(report.partial_sums))
+
     def test_partial_sums_diverge_linearly(self):
         report = claim2_lower_bound(DyadicSchedule(q=6.0), 50, r=2.0)
         assert report.partial_sums[-1] >= 45.0

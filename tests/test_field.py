@@ -19,7 +19,6 @@ from wlns.field import (
     gradient_squares,
     inverse_transform,
     laplacian,
-    read_snapshot,
     read_snapshot_header,
     read_vector_snapshot,
     rescale,
@@ -33,6 +32,10 @@ from wlns.field import _BLOCKS, _block, _forward
 def random_scalar(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return ScalarField(grid, scale * rng.standard_normal((grid.n,) * 3))
+
+
+def random_vector(grid, seed=0):
+    return VectorField(grid, *(random_scalar(grid, seed + i) for i in range(3)))
 
 
 class TestGrid:
@@ -376,9 +379,11 @@ class TestRescale:
 
 
 class TestSnapshots:
+    HEADER = 4 + 4 + 4 + 8 + 8 + 4
+
     def test_roundtrip(self, tmp_path):
         g = Grid(n=8, length=2.0)
-        v = VectorField(g, random_scalar(g, 1), random_scalar(g, 2), random_scalar(g, 3))
+        v = random_vector(g, 1)
         path = tmp_path / "snap.wlns"
         write_snapshot(path, 0.125, v)
         time, back = read_vector_snapshot(path)
@@ -390,44 +395,46 @@ class TestSnapshots:
     def test_payload_is_x_fastest(self, tmp_path):
         g = Grid(n=8)
         X = g.coordinates[0]
-        f = ScalarField(g, X.copy())
         path = tmp_path / "snap.wlns"
-        write_snapshot(path, 0.0, [f])
+        write_snapshot(path, 0.0, VectorField.from_arrays(g, X, X + 1.0, X + 2.0))
         raw = path.read_bytes()
-        header = 4 + 4 + 4 + 8 + 8 + 4
-        first = np.frombuffer(raw[header : header + 8 * 8], dtype="<f8")
-        # x varies fastest, so the leading doubles sweep the x axis
-        assert np.allclose(first, g.axis_coordinates)
+        # the components follow one another, and in each x varies fastest,
+        # so its leading doubles sweep the x axis
+        for i in range(3):
+            start = self.HEADER + i * 8 * g.n**3
+            first = np.frombuffer(raw[start : start + 8 * 8], dtype="<f8")
+            assert np.allclose(first, g.axis_coordinates + i)
 
     def test_header_fields(self, tmp_path):
         g = Grid(n=8, length=3.0)
         path = tmp_path / "snap.wlns"
-        write_snapshot(path, 1.5, [random_scalar(g)])
+        write_snapshot(path, 1.5, random_vector(g))
         raw = path.read_bytes()
         assert raw[:4] == b"WLNS"
         assert int.from_bytes(raw[4:8], "little") == 1
         assert int.from_bytes(raw[8:12], "little") == 8
+        assert int.from_bytes(raw[28:32], "little") == 3
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.wlns"
         path.write_bytes(b"XXXX" + b"\0" * 40)
         with pytest.raises(SnapshotFormatError):
-            read_snapshot(path)
+            read_vector_snapshot(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         g = Grid(n=8)
         path = tmp_path / "snap.wlns"
-        write_snapshot(path, 0.0, [random_scalar(g)])
+        write_snapshot(path, 0.0, random_vector(g))
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(SnapshotFormatError):
-            read_snapshot(path)
+            read_vector_snapshot(path)
 
-    def test_header_reports_time_grid_and_count(self, tmp_path):
+    def test_header_reports_time_and_grid(self, tmp_path):
         g = Grid(n=8, length=3.0)
         path = tmp_path / "snap.wlns"
-        write_snapshot(path, 1.5, [random_scalar(g, 1), random_scalar(g, 2)])
-        assert read_snapshot_header(path) == (1.5, g, 2)
+        write_snapshot(path, 1.5, random_vector(g, 1))
+        assert read_snapshot_header(path) == (1.5, g)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -436,15 +443,18 @@ class TestSnapshots:
             (lambda raw: raw + b"\0", "trailing bytes after snapshot payload"),
             (lambda raw: raw[:20], "truncated snapshot header"),
             (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:], "version 2"),
-            (lambda raw: raw[:28] + (0).to_bytes(4, "little") + raw[32:], "no fields"),
+            (lambda raw: raw[:28] + (0).to_bytes(4, "little") + raw[32:],
+             "^expected 3 fields, found 0$"),
+            (lambda raw: raw[:28] + (2).to_bytes(4, "little") + raw[32:],
+             "^expected 3 fields, found 2$"),
         ],
-        ids=["truncated", "trailing", "short-header", "version", "no-fields"],
+        ids=["truncated", "trailing", "short-header", "version", "no-fields", "two-fields"],
     )
     def test_header_check_rejects_bad_files(self, tmp_path, edit, message):
         path = tmp_path / "snap.wlns"
-        write_snapshot(path, 0.0, [random_scalar(Grid(n=8))])
+        write_snapshot(path, 0.0, random_vector(Grid(n=8)))
         path.write_bytes(edit(path.read_bytes()))
-        for reader in (read_snapshot_header, read_snapshot):
+        for reader in (read_snapshot_header, read_vector_snapshot):
             with pytest.raises(SnapshotFormatError, match=message):
                 reader(path)
 
@@ -457,7 +467,7 @@ class TestSnapshots:
 
         monkeypatch.setattr("wlns.field.os.replace", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            write_snapshot(path, 0.0, [random_scalar(g)])
+            write_snapshot(path, 0.0, random_vector(g))
         assert list(tmp_path.iterdir()) == []
 
 

@@ -381,6 +381,16 @@ class TestStepping:
         assert len(err.result.snapshots) == 1
         assert err.result.trace is not None
 
+    def test_non_finite_initial_state_halts_before_recording(self):
+        grid = Grid(n=16)
+        u0 = taylor_green(grid, amplitude=1.7e308)  # finite values, overflowing modes
+        sink = []
+        with pytest.raises(BlowUpError, match="^non-finite initial state$") as excinfo:
+            run(u0, SolverConfig(dt=1e-3, t_end=0.002), q=6.0, sink=lambda t, u: sink.append(t))
+        err = excinfo.value
+        assert math.isnan(err.last_time)
+        assert sink == [] and len(err.result.times) == 0 and err.result.trace is None
+
     @pytest.mark.parametrize("flow", ["random", "stream"])
     def test_rk4_is_fourth_order_on_nonlinear_flows(self, flow):
         # halving dt divides the difference of successive runs by 2^4;
