@@ -174,6 +174,10 @@ def _load_run_config(path: str):
     elif kind == "random":
         if seed is None:
             raise ValueError("[solver] random initial condition needs a seed")
+        # the field is projected here, which needs |k|^2 finite up to the corner mode
+        k = math.pi * n / grid.length
+        if not math.isfinite(3.0 * k * k):
+            raise ValueError(f"[solver] box_length {grid.length!r} is too small: |k|^2 overflows")
         u0 = random_divfree(
             grid, seed=seed, max_mode=pick(solver, "max_mode", int, None), amplitude=amplitude
         )
@@ -352,6 +356,8 @@ def _cmd_counterexample(args) -> int:
     )
     from wlns.field import write_table
 
+    if args.terms >= 2**59:  # 4 EiB of 8-byte terms, which numpy may not even size
+        return _fail(f"--terms {args.terms}: its arrays exceed any address space")
     try:
         schedule = DyadicSchedule(q=args.q, t_inf=args.t_inf)
         report = criterion_vs_lorentz(schedule, r=args.r, n_terms=args.terms)

@@ -268,29 +268,17 @@ class _Block:
                 out[..., fx, fy, : self.width] = block[..., bx, by, :]
         return out
 
-    @cached_property
-    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y line buffers of :meth:`inverse`, sized for one field; one at fraction 1."""
-        x_lines = np.zeros((self.n, self.shape[1], self.width), dtype=complex)
-        if x_lines.shape == (self.n, self.n, self.half):
-            return x_lines, x_lines
-        return x_lines, np.zeros((self.n, self.n, self.half), dtype=complex)
-
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        """The line buffer of :meth:`forward`: the kept z columns of one field."""
-        return np.empty((self.n, self.n, self.width), dtype=complex)
-
     def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``gather(_forward(values), out=out)`` for one real field, bit for bit but zero signs.
 
         Axes z, x, y: the kept z columns are scaled into a contiguous
-        buffer, the x pass covers only them and the y pass the kept x rows.
+        buffer of the call, the x pass covers only them and the y pass the
+        kept x rows.
         """
         if not values[0].any() and not values.any():  # one plane settles most fields
             out[...] = 0.0
             return out
-        columns = self._columns
+        columns = np.empty((self.n, self.n, self.width), dtype=complex)
         parts = np.fft.rfft(values, axis=-1).view(np.float64)[..., : 2 * self.width]
         np.multiply(parts, 1.0 / self.n**3, out=columns.view(np.float64))
         np.fft.fft(columns, axis=0, out=columns)
@@ -302,11 +290,13 @@ class _Block:
         """Real values of the half spectrum ``scatter(block)``; inverse of :func:`_forward`.
 
         Unscaled ``ifft`` along x, then y, then ``irfft`` along z, skipping
-        lines that stay zero, one field of a batch at a time through the
-        buffers of :attr:`_lines`, so a call allocates little beyond its
-        result.
+        lines that stay zero, one field of a batch at a time through line
+        buffers the call allocates once (one at fraction 1), so they die
+        with the call and a call allocates little beyond its result.
         """
-        x_lines, y_lines = self._lines
+        x_lines = np.zeros((self.n, self.shape[1], self.width), dtype=complex)
+        full = x_lines.shape == (self.n, self.n, self.half)
+        y_lines = x_lines if full else np.zeros((self.n, self.n, self.half), dtype=complex)
         y_kept = y_lines[..., : self.width]
         block = np.ascontiguousarray(block, dtype=np.complex128)
         out = np.empty((*block.shape[:-3], self.n, self.n, self.n))

@@ -33,6 +33,30 @@ def _values_and_measure(f, cell_measure) -> tuple[np.ndarray, float]:
     return np.abs(values.ravel()), measure
 
 
+def _homogeneous_root(power_sum, levels: np.ndarray, degree: float) -> float:
+    """``power_sum(levels) ** (1/degree)`` for a sum homogeneous of ``degree`` in ``levels``.
+
+    A sum past the normal float range is retaken on the levels over the
+    largest one, if that sum is normal; any other sum keeps its bits.
+    """
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        total = power_sum(levels)
+        if not tiny <= total < np.inf:
+            top = levels.max(initial=0.0)
+            scaled = power_sum(levels / top)
+            if tiny <= scaled < np.inf:
+                return float(top * scaled ** (1.0 / degree))
+        return float(total ** (1.0 / degree))
+
+
+def _layer_sum(levels: np.ndarray, exponent: float, weights: np.ndarray):
+    """``sum_i (v_i^s - v_{i-1}^s) * w_i`` over increasing levels, with ``v_0 = 0``."""
+    powers = levels**exponent
+    prev = np.concatenate(([0.0], powers[:-1]))
+    return np.sum((powers - prev) * weights)
+
+
 @dataclass(frozen=True)
 class DistributionFunction:
     """Distribution function of ``|f|``.
@@ -122,7 +146,7 @@ def lebesgue_norm(f, p: float, cell_measure=None) -> NormReport:
     if not p > 0:
         raise ValueError("Lebesgue exponent must be positive")
     absv, measure = _values_and_measure(f, cell_measure)
-    value = float((np.sum(absv**p) * measure) ** (1.0 / p)) if absv.size else 0.0
+    value = _homogeneous_root(lambda v: np.sum(v**p) * measure, absv, p)
     return NormReport("lebesgue", p, None, value, absv.size * measure)
 
 
@@ -137,13 +161,8 @@ def layer_cake(f, p: float, cell_measure=None) -> NormReport:
     if not p > 0:
         raise ValueError("Lebesgue exponent must be positive")
     dist = DistributionFunction.from_data(f, cell_measure)
-    levels = dist.thresholds
-    if levels.size == 0:
-        return NormReport("lebesgue", p, None, 0.0, 0.0)
-    powers = levels**p
-    prev = np.concatenate(([0.0], powers[:-1]))
-    integral = float(np.sum((powers - prev) * dist.measure_geq))
-    return NormReport("lebesgue", p, None, integral ** (1.0 / p), dist.total_measure)
+    value = _homogeneous_root(lambda v: _layer_sum(v, p, dist.measure_geq), dist.thresholds, p)
+    return NormReport("lebesgue", p, None, value, dist.total_measure)
 
 
 def lorentz_time_norm(
@@ -187,10 +206,9 @@ def lorentz_time_norm(
     if not r > 0:
         raise ValueError("secondary exponent must be positive")
     nz = dist.thresholds > 0
-    powers = dist.thresholds[nz] ** r
-    prev = np.concatenate(([0.0], powers[:-1]))
-    integral = (p / r) * float(np.sum((powers - prev) * dist.measure_geq[nz] ** (r / p)))
-    return NormReport("lorentz", p, r, integral ** (1.0 / r), dist.total_measure)
+    weights = dist.measure_geq[nz] ** (r / p)
+    value = _homogeneous_root(lambda v: (p / r) * _layer_sum(v, r, weights), dist.thresholds[nz], r)
+    return NormReport("lorentz", p, r, value, dist.total_measure)
 
 
 # ---------------------------------------------------------------------------

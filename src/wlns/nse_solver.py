@@ -328,13 +328,24 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     def advect(u):
         return _project(_advection(u, block, 1j, state.time), *block.symbols)
 
+    # the weighted sum of the stages is a running total, built in the order
+    # of ``decay_full*a1 + 2*decay_half*(a2 + a3) + a4`` so it keeps its bits;
+    # with each stage's values dropped once advected, at most two stage
+    # blocks besides the total and one stage's values are live
     u0 = state.kept
     a1 = advect(state.physical)
-    a2 = advect(block.inverse(decay_half * (u0 - 0.5 * dt * a1)))
+    stage = block.inverse(decay_half * (u0 - 0.5 * dt * a1))
+    total = decay_full * a1
+    del a1
+    a2 = advect(stage)
+    del stage
     a3 = advect(block.inverse(decay_half * u0 - 0.5 * dt * a2))
-    a4 = advect(block.inverse(decay_full * u0 - dt * decay_half * a3))
-    new = decay_full * u0 - (dt / 6.0) * (decay_full * a1 + 2.0 * decay_half * (a2 + a3) + a4)
-    new = _project(new, *block.symbols)
+    stage = block.inverse(decay_full * u0 - dt * decay_half * a3)
+    total += 2.0 * decay_half * (a2 + a3)
+    del a2, a3
+    total += advect(stage)
+    del stage
+    new = _project(decay_full * u0 - (dt / 6.0) * total, *block.symbols)
     if not np.all(np.isfinite(new)):
         raise BlowUpError("non-finite modes after step", last_time=state.time)
     following = replace(

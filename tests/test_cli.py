@@ -335,6 +335,26 @@ class TestSimulate:
         assert manifest["halted"] == "non-finite initial state"
         assert manifest["outputs"] == []
 
+    @pytest.mark.parametrize("length", ["1e-310", "1e-153"])
+    def test_random_field_in_a_box_too_small_rejected_before_output(
+        self, tmp_path, capsys, length
+    ):
+        # a random field is projected while the config loads, so the box's
+        # overflowing wavenumbers are a config error, not a halted run
+        cfg = write_config(
+            tmp_path,
+            f"[solver]\nn = 16\nt_end = 0.002\nbox_length = {length}\n"
+            "initial_condition = random\nseed = 1\n",
+        )
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: [solver] box_length {float(length)!r} is too small: |k|^2 overflows\n"
+
     @pytest.mark.parametrize(
         "setting, message",
         [
@@ -679,12 +699,17 @@ class TestCounterexample:
             # 7.11 PiB is past any address space, so the first array fails at once
             (["--terms", "1000000000000000"],
              "error: --terms 1000000000000000: Unable to allocate 7.11 PiB for an array"),
+            # numpy cannot even size arrays of about 2^60 8-byte terms: from
+            # 2^59 on the count is rejected before any array is made
+            *((["--terms", str(terms)],
+               f"error: --terms {terms}: its arrays exceed any address space\n")
+              for terms in (2**59, 2**60, 10**19)),
             # the time norm's layer-cake blocks, and the claim-2 terms t_inf^(r/p)
             (["--r", "1e10"], "error: --r 10000000000.0 with --t-inf 1.0 overflows a float\n"),
             (["--r", "300", "--t-inf", "1e10"],
              "error: --r 300.0 with --t-inf 10000000000.0 overflows a float\n"),
         ],
-        ids=["terms", "r", "t-inf"],
+        ids=["terms", "terms-2^59", "terms-2^60", "terms-1e19", "r", "t-inf"],
     )
     def test_out_of_range_rejected_before_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "cx"

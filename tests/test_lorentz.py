@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,42 @@ class TestLorentzTimeNorm:
     def test_rejects_negative_signal(self):
         with pytest.raises(ValueError):
             lorentz_time_norm(np.array([1.0, -1.0]), 2.0, 2.0, dt=1.0)
+
+
+class TestPowersPastTheFloatRange:
+    """Norms that are floats although the powers they sum under- or overflow."""
+
+    @pytest.mark.parametrize(
+        "norm, want",
+        [
+            (lambda: lebesgue_norm([1e-136], 3.0), 1e-136),  # 1e-408 underflows
+            (lambda: layer_cake([1e-136], 3.0), 1e-136),
+            (lambda: lebesgue_norm([1e60], 6.0), 1e60),  # 1e360 overflows
+            (lambda: layer_cake([1e60], 6.0), 1e60),
+            # c * T^(1/p) * (p/r)^(1/r) of a constant signal
+            (lambda: lorentz_time_norm([1e200], 4.0, 2.0, dt=1.0), 1e200 * np.sqrt(2.0)),
+        ],
+        ids=["lebesgue-under", "layer-cake-under", "lebesgue-over", "layer-cake-over",
+             "lorentz-over"],
+    )
+    def test_single_value(self, norm, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm().value == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_norms_scale_with_the_data(self, scale):
+        rng = np.random.default_rng(5)
+        v = random_positive(rng, 200, 1)
+        norms = (
+            lambda v, p: lebesgue_norm(v, p, cell_measure=0.5),
+            lambda v, p: layer_cake(v, p, cell_measure=0.5),
+            lambda v, p: lorentz_time_norm(v, p, 2.0, dt=0.5),
+        )
+        for p in (3.0, 6.0):
+            for norm in norms:
+                want = scale * norm(v, p).value
+                assert norm(scale * v, p).value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestEmbedding:
