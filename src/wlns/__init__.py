@@ -35,8 +35,8 @@ _EXPORTS = {
         "pressure_from_velocity", "random_divfree", "run", "single_mode", "taylor_green",
     ),
     "degiorgi": (
-        "CylinderMap", "CylinderScheme", "LevelSetEnergy", "energy_budget", "energy_residual",
-        "level_energy", "recursive_sequence", "threshold_scan",
+        "CylinderMap", "CylinderScheme", "LevelSetEnergy", "energy_budget", "level_energy",
+        "recursive_sequence", "threshold_scan",
     ),
     "counterexample": (
         "CounterexampleField", "DyadicSchedule", "claim1_terms", "claim2_lower_bound",

@@ -369,7 +369,7 @@ class SeparationReport:
     criterion_upper_bound: float  # rigorous cap on the untruncated series
     time_norm_log2: np.ndarray
     time_norms: np.ndarray
-    time_norms_direct: np.ndarray  # float-path cross-check, nan past overflow
+    time_norms_direct: np.ndarray  # float-path cross-check, nan past the normal range
 
 
 def criterion_vs_lorentz(
@@ -383,9 +383,9 @@ def criterion_vs_lorentz(
     The damped criterion integral increases to a finite limit while the
     ``L^{p,r}`` time norms of the piecewise-constant minorant grow
     without bound.  Norms are evaluated twice: in log2 space (any
-    truncation) and through the plain Lorentz evaluator wherever the
-    level/width floats are representable (roughly the first 16
-    intervals); the two must agree where both exist.
+    truncation) and through the plain Lorentz evaluator wherever its
+    widths and layer weights are normal floats (roughly the first 16
+    intervals, ``nan`` beyond); the two must agree where both exist.
     """
     if not 1.0 < r < math.inf:
         raise ValueError(f"secondary exponent r must lie in (1, inf), got {r!r}")
@@ -406,7 +406,10 @@ def criterion_vs_lorentz(
     for n_cut in checkpoints:
         criterion.append(float(claim1.integral_partials[n_cut - 1]))
         log2_norms.append(_minorant_time_norm_log2(schedule, n_cut, r))
-        if levels_log2[n_cut - 1] < 1020.0 and widths_log2[n_cut - 1] > -1070.0:
+        # the lengths and the layer weights, their (r/p)-th powers, must be
+        # normal floats; the levels' r-th powers, the weights' reciprocals,
+        # then stay finite
+        if max(1.0, r / schedule.p) * widths_log2[n_cut - 1] > -1022.0:
             values = 2.0 ** levels_log2[:n_cut]
             lengths = 2.0 ** widths_log2[:n_cut]
             with np.errstate(over="ignore", invalid="ignore"):  # a large r gives nan here

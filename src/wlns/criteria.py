@@ -75,16 +75,24 @@ def derive_exponents(q: float) -> DerivedExponents:
     return exps
 
 
+def _power(base: float, p: float) -> float:
+    """``base**p`` of a Python float, ``inf`` where it leaves the float range."""
+    try:
+        return base**p
+    except OverflowError:
+        return math.inf
+
+
 def integrand_lps(strong_q: float, p: float) -> float:
-    return strong_q**p
+    return _power(strong_q, p)
 
 
 def integrand_zhoulei(sup_norm: float, strong_q: float, p: float) -> float:
-    return strong_q**p / (1.0 + math.log(E + sup_norm))
+    return _power(strong_q, p) / (1.0 + math.log(E + sup_norm))
 
 
 def integrand_weaklog(sup_norm: float, weak_q: float, p: float) -> float:
-    return weak_q**p / (E + math.log(E + sup_norm))
+    return _power(weak_q, p) / (E + math.log(E + sup_norm))
 
 
 def damped_magnitude(m: ScalarField | np.ndarray):
@@ -97,7 +105,7 @@ def damped_magnitude(m: ScalarField | np.ndarray):
 
 def integrand_remark(m: ScalarField, q: float, p: float) -> float:
     """Weak-``q`` norm of the damped magnitude, raised to ``p``."""
-    return weak_norm(damped_magnitude(m), q).value ** p
+    return _power(weak_norm(damped_magnitude(m), q).value, p)
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,7 @@ def evaluate_row(u: VectorField, q: float, t: float) -> TraceRow:
         i_lps=integrand_lps(sq, exps.p),
         i_zl=integrand_zhoulei(sup_norm, sq, exps.p),
         i_wlog=integrand_weaklog(sup_norm, wq, exps.p),
-        i_remark=dist.weak_max(q, damped_magnitude) ** exps.p,
+        i_remark=_power(dist.weak_max(q, damped_magnitude), exps.p),
     )
 
 

@@ -360,15 +360,6 @@ class CutoffFunction:
     laplacian: Callable[[Grid, float], np.ndarray]
 
 
-def constant_one() -> CutoffFunction:
-    return CutoffFunction(
-        value=lambda grid, t: np.ones(grid.shape),
-        time_derivative=lambda grid, t: np.zeros(grid.shape),
-        gradient=lambda grid, t: np.zeros((3, *grid.shape)),
-        laplacian=lambda grid, t: np.zeros(grid.shape),
-    )
-
-
 def smoothstep_down(s: np.ndarray) -> np.ndarray:
     """Quintic ramp: 1 for s <= 0, 0 for s >= 1, C^2 across the joins."""
     s = np.clip(s, 0.0, 1.0)
@@ -514,21 +505,27 @@ class EnergyBudgetReport:
         return float(np.max(np.abs(self.rate_residual))) if len(self.rate_residual) else 0.0
 
 
-def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
-    """Per-snapshot integrals of the localized energy balance against ``cutoff``."""
+def _balance_terms(result: SimulationResult, cutoff: CutoffFunction | None) -> dict:
+    """Per-snapshot integrals of the localized energy balance against ``cutoff``.
+
+    ``cutoff = None`` weighs by 1, whose derivatives vanish: ``transport`` and
+    ``flux`` are then 0.0, and neither the cutoff nor the pressure is formed.
+    """
     grid = result.grid
     vol = grid.cell_volume
     nu = result.config.viscosity
     n_t = len(result.times)
     quadratic = np.empty(n_t)  # int phi |u|^2 / 2
     dissipation = np.empty(n_t)  # nu int phi |grad u|^2
-    transport = np.empty(n_t)  # int (|u|^2/2)(phi_t + nu lap phi)
-    flux = np.empty(n_t)  # int (u . grad phi)(|u|^2/2 + P)
+    transport = np.zeros(n_t)  # int (|u|^2/2)(phi_t + nu lap phi)
+    flux = np.zeros(n_t)  # int (u . grad phi)(|u|^2/2 + P)
     for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
-        phi = cutoff.value(grid, t)
+        phi = 1.0 if cutoff is None else cutoff.value(grid, t)
         u2_half = 0.5 * sum(c.values**2 for c in u.components)
         quadratic[idx] = np.sum(phi * u2_half) * vol
         dissipation[idx] = nu * np.sum(phi * gradient_squares(u)) * vol
+        if cutoff is None:
+            continue
         transport[idx] = (
             np.sum(u2_half * (cutoff.time_derivative(grid, t) + nu * cutoff.laplacian(grid, t)))
             * vol
@@ -545,24 +542,40 @@ def _balance_terms(result: SimulationResult, cutoff: CutoffFunction) -> dict:
     }
 
 
-def _snapshot_step(times: np.ndarray) -> float:
-    """The common spacing of ``times``, which the centred differences need."""
+def energy_budget(
+    result: SimulationResult,
+    eta: CutoffFunction | None = None,
+    cmap: CylinderMap | None = None,
+    time_order: int | None = None,
+) -> EnergyBudgetReport:
+    """Term-by-term localized energy balance along a stored trajectory.
+
+    ``eta = None`` weighs by 1: the global balance.  Given ``cmap`` too,
+    ``eta`` is first checked cell by cell to be 1 on the mapped ``Q_0`` and
+    0 outside the mapped ``Q_{-1}``.  The rate residual ``d/dt int phi
+    |u|^2/2 + nu int phi |grad u|^2 - int (|u|^2/2)(phi_t + nu Lap phi) -
+    int (u . grad phi)(|u|^2/2 + P)`` takes centered differences of
+    ``time_order`` (2 or 4; ``None`` is 4 from five snapshots on, else 2) on
+    the interior snapshots, which must be uniformly spaced; the pressure is
+    dealiased as the run was.  The slack ``int_{t_0}^{t} (transport + flux -
+    dissipation) - [kinetic(t) - kinetic(t_0)]/2`` is nonnegative up to
+    discretization for smooth runs.
+    """
+    if eta is not None and cmap is not None:
+        _validate_support(result, eta, cmap)
+    times = np.asarray(result.times)
+    if time_order is None:
+        time_order = 4 if len(times) >= 5 else 2
+    needed = 5 if time_order == 4 else 3
+    if time_order not in (2, 4):
+        raise ValueError("time_order must be 2 or 4")
+    if len(times) < needed:
+        raise ValueError(f"need at least {needed} snapshots for order {time_order}")
     spacing = np.diff(times)
     h = float(spacing[0])
     if not np.allclose(spacing, h, rtol=1e-9, atol=1e-12):
         raise ValueError("energy residual requires uniformly spaced snapshots")
-    return h
-
-
-def _rate_residual(
-    times: np.ndarray, h: float, terms: dict, time_order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Balance defect ``d/dt quadratic + dissipation - transport - flux``.
-
-    The derivative is the centred difference of ``time_order`` (2 or 4) with
-    step ``h``, so the result lives on the interior snapshots, whose times
-    are returned with it.
-    """
+    terms = _balance_terms(result, eta)
     q = terms["quadratic"]
     if time_order == 2:
         lo, hi = 1, len(times) - 1
@@ -570,39 +583,7 @@ def _rate_residual(
     else:
         lo, hi = 2, len(times) - 2
         ddt = (-q[4:] + 8.0 * q[3:-1] - 8.0 * q[1:-3] + q[:-4]) / (12.0 * h)
-    residual = (
-        ddt + terms["dissipation"][lo:hi] - terms["transport"][lo:hi] - terms["flux"][lo:hi]
-    )
-    return times[lo:hi], residual
-
-
-def energy_residual(
-    result: SimulationResult,
-    cutoff: CutoffFunction | None = None,
-    time_order: int = 4,
-) -> EnergyBudgetReport:
-    """Term-by-term localized energy balance along a stored trajectory.
-
-    ``cutoff = None`` weighs by 1: the global balance.  The rate residual
-    ``d/dt int phi |u|^2/2 + nu int phi |grad u|^2 - int (|u|^2/2)(phi_t +
-    nu Lap phi) - int (u . grad phi)(|u|^2/2 + P)`` takes centered
-    differences of ``time_order`` (2 or 4) on the interior snapshots, which
-    must be uniformly spaced; the pressure is dealiased as the run was.  The
-    slack ``int_{t_0}^{t} (transport + flux - dissipation) - [kinetic(t) -
-    kinetic(t_0)]/2`` is nonnegative up to discretization for smooth runs.
-    """
-    if cutoff is None:
-        cutoff = constant_one()
-    times = np.asarray(result.times)
-    needed = 5 if time_order == 4 else 3
-    if time_order not in (2, 4):
-        raise ValueError("time_order must be 2 or 4")
-    if len(times) < needed:
-        raise ValueError(f"need at least {needed} snapshots for order {time_order}")
-    h = _snapshot_step(times)
-    terms = _balance_terms(result, cutoff)
-    residual_times, rate_residual = _rate_residual(times, h, terms, time_order)
-    kinetic = 2.0 * terms["quadratic"]
+    kinetic = 2.0 * q
     transport, flux, dissipation = terms["transport"], terms["flux"], terms["dissipation"]
     gain = _cumulative_trapezoid(transport + flux - dissipation, times)
     return EnergyBudgetReport(
@@ -612,21 +593,6 @@ def energy_residual(
         transport=transport,
         flux=flux,
         slack=gain - 0.5 * (kinetic - kinetic[0]),
-        residual_times=residual_times,
-        rate_residual=rate_residual,
+        residual_times=times[lo:hi],
+        rate_residual=ddt + dissipation[lo:hi] - transport[lo:hi] - flux[lo:hi],
     )
-
-
-def energy_budget(
-    result: SimulationResult,
-    eta: CutoffFunction | None = None,
-    cmap: CylinderMap | None = None,
-) -> EnergyBudgetReport:
-    """:func:`energy_residual` against ``eta``, of order 4 from five snapshots on, else 2.
-
-    Given ``cmap`` too, ``eta`` is first checked cell by cell to be 1 on the
-    mapped ``Q_0`` and 0 outside the mapped ``Q_{-1}``.
-    """
-    if eta is not None and cmap is not None:
-        _validate_support(result, eta, cmap)
-    return energy_residual(result, eta, 4 if len(result.times) >= 5 else 2)

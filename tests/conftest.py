@@ -15,7 +15,9 @@ and ``scalar_implicit_check`` are the scalar Gauss-Legendre rule and the
 row-by-row identity check that ``wlns.gronwall``'s array kernel must match
 bit for bit.  ``sample_scalar``,
 ``sample_vector``, ``hermitian_defect`` and ``gaussian_bump`` build test
-fields, check spectra and localize energy balances.  ``run_python`` and
+fields, check spectra and localize energy balances.  ``constant_one`` is
+the all-ones cutoff, whose balance ``energy_budget(result)`` must equal bit
+for bit without forming it.  ``run_python`` and
 ``imported_modules`` run a fresh interpreter on this checkout and read the
 modules it imported.
 """
@@ -211,6 +213,15 @@ def hermitian_defect(spec: SpectralField) -> float:
     axes = (-3, -2)
     mirrored = np.roll(np.flip(planes, axis=axes), 1, axis=axes)
     return float(np.abs(mirrored - np.conj(planes)).max())
+
+
+def constant_one() -> CutoffFunction:
+    return CutoffFunction(
+        value=lambda grid, t: np.ones(grid.shape),
+        time_derivative=lambda grid, t: np.zeros(grid.shape),
+        gradient=lambda grid, t: np.zeros((3, *grid.shape)),
+        laplacian=lambda grid, t: np.zeros(grid.shape),
+    )
 
 
 def gaussian_bump(center: Sequence[float], width: float) -> CutoffFunction:

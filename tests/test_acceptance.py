@@ -19,7 +19,7 @@ from wlns.degiorgi import (
     CylinderMap,
     CylinderScheme,
     cylinder_radius,
-    energy_residual,
+    energy_budget,
     level_energy,
     recursive_sequence,
     threshold_scan,
@@ -314,14 +314,14 @@ def test_ac11_degiorgi_constant_field():
 
 def test_ac12_energy_residual(tg32):
     result, _ = tg32
-    localized = energy_residual(result, gaussian_bump((math.pi,) * 3, width=0.5))
+    localized = energy_budget(result, gaussian_bump((math.pi,) * 3, width=0.5))
     fine_ok = localized.max_abs <= 1e-4
 
     maxima = []
     grid = Grid(16)
     for dt in (2e-3, 1e-3):
         coarse = run(taylor_green(grid), SolverConfig(dt=dt, t_end=0.08, snapshot_every=2))
-        maxima.append(energy_residual(coarse, time_order=2).max_abs)
+        maxima.append(energy_budget(coarse, time_order=2).max_abs)
     order = math.log2(maxima[0] / maxima[1])
     check(
         "AC12 energy residual",

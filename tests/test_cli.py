@@ -335,6 +335,28 @@ class TestSimulate:
         assert manifest["halted"] == "non-finite initial state"
         assert manifest["outputs"] == []
 
+    def test_overflowing_criterion_integrands_halt(self, tmp_path, capsys):
+        # |u| near 1e150 is a finite norm whose 4th power (q = 6, p = 4) is not
+        cfg = write_config(
+            tmp_path,
+            "[solver]\nn = 8\nt_end = 0.002\ninitial_condition = random\nseed = 1\n"
+            "amplitude = 1e150\n\n[diagnostics]\nq = 6\n",
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == "halted: overflow in physical-space product\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halted"] == "overflow in physical-space product"
+        header, row = (out / "trace.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["t"] == "0.0"
+        assert [values[k] for k in ("I_lps", "I_zl", "I_wlog", "I_remark")] == ["inf"] * 4
+        for key in ("sup_norm", "weak_q", "strong_q", "weak_sigma"):
+            assert 1e149 < float(values[key]) < 1e151
+
     @pytest.mark.parametrize("length", ["1e-310", "1e-153"])
     def test_random_field_in_a_box_too_small_rejected_before_output(
         self, tmp_path, capsys, length

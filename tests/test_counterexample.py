@@ -333,6 +333,37 @@ class TestSeparation:
         assert math.isnan(report.time_norms_direct[1])
         assert np.all(np.isfinite(report.time_norms))
 
+    @pytest.mark.parametrize(
+        "q, r, t_inf, checkpoint",
+        [
+            (8.0, 30.0, 1.0, 6),  # the levels' r-th powers overflow
+            (6.0, 128.0, 1.0, 3),
+            (6.0, 300.0, 1.0, 2),
+            (8.9, 1.5, 1000.0, 19),  # subnormal widths keep only a few bits
+            (8.9, 2.0, 1000.0, 19),
+        ],
+    )
+    def test_direct_route_is_nan_past_the_normal_range(self, q, r, t_inf, checkpoint):
+        report = criterion_vs_lorentz(
+            DyadicSchedule(q=q, t_inf=t_inf), r=r, n_terms=checkpoint, checkpoints=(checkpoint,)
+        )
+        assert math.isnan(report.time_norms_direct[0])
+        assert np.isfinite(report.time_norms[0])
+
+    @pytest.mark.parametrize("q", [4.0, 6.0, 8.0, 8.9])
+    def test_direct_route_agrees_or_is_nan(self, q):
+        agreed = 0
+        for r in (1.5, 2.0, 4.0, 30.0, 128.0, 300.0):
+            for t_inf in (1e-3, 1.0, 1000.0):
+                report = criterion_vs_lorentz(
+                    DyadicSchedule(q=q, t_inf=t_inf), r=r, n_terms=20, checkpoints=range(1, 21)
+                )
+                direct = report.time_norms_direct
+                shown = ~np.isnan(direct)
+                np.testing.assert_allclose(direct[shown], report.time_norms[shown], rtol=1e-9)
+                agreed += int(np.count_nonzero(shown))
+        assert agreed >= 120  # of the 360 cases
+
     def test_strong_time_norm_also_diverges(self):
         # r = p recovers the plain L^p time norm
         report = criterion_vs_lorentz(DyadicSchedule(q=6.0), r=4.0, n_terms=64)

@@ -76,6 +76,13 @@ class TestIntegrands:
     def test_lps_is_plain_power(self):
         assert integrand_lps(2.0, 4.0) == 16.0
 
+    def test_overflowing_powers_read_inf(self):
+        # 1e150 ** 4 leaves the float range, which a Python float reports by raising
+        assert integrand_lps(1e150, 4.0) == math.inf
+        assert integrand_zhoulei(1e150, 1e150, 4.0) == math.inf
+        assert integrand_weaklog(1e150, 1e150, 4.0) == math.inf
+        assert integrand_lps(1e-150, 4.0) == 0.0
+
     @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_damping_decreases_with_sup(self, p):
         sups = np.linspace(0.0, 50.0, 40)

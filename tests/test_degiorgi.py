@@ -5,19 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gaussian_bump, reference_symbols
+from conftest import constant_one, gaussian_bump, reference_symbols
 
 from wlns.degiorgi import (
     CylinderMap,
     CylinderScheme,
+    EnergyBudgetReport,
     LevelSetEnergy,
     budget_cutoff,
-    constant_one,
     critical_w0_closed_form,
     cylinder_cutoff,
     cylinder_radius,
     energy_budget,
-    energy_residual,
     level_energy,
     recursive_sequence,
     threshold_scan,
@@ -419,6 +418,12 @@ def budget_run_16():
 
 
 @pytest.fixture(scope="module")
+def budget_run_random():
+    config = SolverConfig(viscosity=0.1, dt=2e-3, t_end=0.02, snapshot_every=2)
+    return run(random_divfree(Grid(16), seed=1, amplitude=1.5), config)
+
+
+@pytest.fixture(scope="module")
 def budget_run_32():
     config = SolverConfig(viscosity=1.0, dt=1e-3, t_end=0.25, snapshot_every=2)
     return run(taylor_green(Grid(32)), config)
@@ -441,11 +446,22 @@ class TestEnergyBudget:
                        report.flux, report.slack, report.rate_residual):
             assert np.all(series == 0.0)
 
-    def test_global_budget_matches_default(self, budget_run_16):
-        implicit = energy_budget(budget_run_16)
-        explicit = energy_budget(budget_run_16, eta=constant_one())
-        np.testing.assert_array_equal(implicit.slack, explicit.slack)
-        np.testing.assert_array_equal(implicit.rate_residual, explicit.rate_residual)
+    def test_global_budget_matches_default(self, budget_run_16, budget_run_random):
+        # raw bytes, so that the signs of the zero transport and flux count too
+        for result in (budget_run_16, budget_run_random):
+            implicit = energy_budget(result)
+            explicit = energy_budget(result, eta=constant_one())
+            for series in dataclasses.fields(EnergyBudgetReport):
+                got, want = getattr(implicit, series.name), getattr(explicit, series.name)
+                assert got.tobytes() == want.tobytes(), series.name
+
+    def test_global_budget_solves_no_pressure(self, budget_run_random, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the global balance solved for the pressure")
+
+        monkeypatch.setattr("wlns.degiorgi.pressure_from_velocity", refuse)
+        report = energy_budget(budget_run_random)
+        assert np.all(report.flux == 0.0) and np.all(report.transport == 0.0)
 
     def test_degenerate_cutoff_cross_checks_residual(self, budget_run_16):
         # Five snapshots or more: order 4, on all but two snapshots at each end.
@@ -456,9 +472,9 @@ class TestEnergyBudget:
             budget_run_16, times=budget_run_16.times[:4], snapshots=budget_run_16.snapshots[:4]
         )
         with pytest.raises(ValueError, match="at least 5 snapshots"):
-            energy_residual(short, constant_one())
+            energy_budget(short, constant_one(), time_order=4)
         report = energy_budget(short, eta=constant_one())
-        residual = energy_residual(short, constant_one(), time_order=2)
+        residual = energy_budget(short, constant_one(), time_order=2)
         np.testing.assert_array_equal(report.residual_times, short.times[1:3])
         np.testing.assert_array_equal(report.rate_residual, residual.rate_residual)
         assert np.max(np.abs(residual.rate_residual)) > 0.0

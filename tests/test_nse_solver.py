@@ -9,6 +9,7 @@ from conftest import (
     batched_product_modes,
     full_transform_inverse,
     full_transform_step,
+    constant_one,
     gaussian_bump,
     hermitian_defect,
     masked_step,
@@ -27,9 +28,8 @@ from wlns.field import (
     _block,
 )
 from wlns.degiorgi import (
-    constant_one,
     cylinder_cutoff,
-    energy_residual,
+    energy_budget,
     smoothstep_down,
     smoothstep_down_d1,
     smoothstep_down_d2,
@@ -879,22 +879,22 @@ class TestEnergyResidual:
         zeros = np.zeros(grid.shape)
         u0 = VectorField.from_arrays(grid, zeros, zeros, zeros)
         result = run(u0, SolverConfig(dt=1e-2, t_end=0.06, snapshot_every=1))
-        report = energy_residual(result)
+        report = energy_budget(result)
         assert report.max_abs == 0.0
 
     def test_global_balance_taylor_green(self, tg_run_32):
-        report = energy_residual(tg_run_32, constant_one())
+        report = energy_budget(tg_run_32, constant_one())
         assert report.max_abs < 1e-6
 
     def test_global_balance_weighs_viscous_terms(self):
         # an unweighted dissipation would leave (1 - nu) of it as residual
         config = SolverConfig(viscosity=0.1, dt=1e-3, t_end=0.05, snapshot_every=5)
-        report = energy_residual(run(taylor_green(Grid(n=16)), config), constant_one())
+        report = energy_budget(run(taylor_green(Grid(n=16)), config), constant_one())
         assert report.max_abs <= 1e-9 * np.mean(report.dissipation)
 
     def test_gaussian_bump_residual(self, tg_run_32):
         bump = gaussian_bump((np.pi, np.pi, np.pi), width=0.5)
-        report = energy_residual(tg_run_32, bump)
+        report = energy_budget(tg_run_32, bump)
         assert report.max_abs < 1e-4
 
     def test_requires_enough_snapshots(self):
@@ -902,9 +902,9 @@ class TestEnergyResidual:
         u0 = taylor_green(grid, amplitude=0.1)
         result = run(u0, SolverConfig(dt=1e-2, t_end=0.03, snapshot_every=1))
         with pytest.raises(ValueError, match="snapshots"):
-            energy_residual(result, time_order=4)
+            energy_budget(result, time_order=4)
         # 4 snapshots suffice at second order
-        energy_residual(result, time_order=2)
+        energy_budget(result, time_order=2)
 
     def test_second_order_refinement(self):
         # halving the snapshot spacing must shrink the defect ~4x
@@ -914,6 +914,6 @@ class TestEnergyResidual:
             result = run(
                 taylor_green(grid), SolverConfig(dt=dt, t_end=0.08, snapshot_every=2)
             )
-            maxima.append(energy_residual(result, time_order=2).max_abs)
+            maxima.append(energy_budget(result, time_order=2).max_abs)
         order = math.log2(maxima[0] / maxima[1])
         assert order > 1.5
