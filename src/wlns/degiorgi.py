@@ -22,9 +22,11 @@ from wlns.criteria import _cumulative_trapezoid
 from wlns.field import (
     Grid,
     Trajectory,
+    _cells,
     _min_image,
     ball_boundary_cells,
     ball_mask,
+    cell_box,
     gradient_squares,
     write_table,
 )
@@ -197,18 +199,20 @@ def level_energy(
     levels = np.array(scheme.levels)
     windows = [(tau > truncation_time(k)) & (tau <= 1.0 + 1e-12) for k in levels]
     # the balls shrink with k, so every one lies inside the k = 0 ball: a
-    # snapshot keeps only its values there, and each level indexes within them
+    # snapshot is formed on its box, kept on the ball, and each level indexes that
     radii = [cmap.sim_radius(cylinder_radius(k)) for k in levels]
-    outer = ball_mask(grid, cmap.center, radii[0])
-    inner = [ball_mask(grid, cmap.center, r)[outer] for r in radii]
+    box = cell_box(grid, cmap.center, radii[0])
+    cells = _cells(box)
+    outer = ball_mask(grid, cmap.center, radii[0])[cells]
+    inner = [ball_mask(grid, cmap.center, r)[cells][outer] for r in radii]
 
     sups, diss_series = [0.0] * len(levels), [[] for _ in levels]
     for idx, u in enumerate(result.snapshots):
         if not windows[0][idx]:  # the k = 0 window holds every other one
             continue
         m = u.magnitude()
-        magnitude = s * m.values[outer]
-        grads = s**4 * gradient_squares(u)[outer], s**4 * gradient_squares(m)[outer]
+        magnitude = s * m.values[cells][outer]
+        grads = s**4 * gradient_squares(u, box)[outer], s**4 * gradient_squares(m, box)[outer]
         for k in levels:
             if not windows[k][idx]:
                 continue
@@ -351,13 +355,15 @@ class CutoffFunction:
 
     Each callable maps ``(grid, t)`` to an array on the grid: ``value``,
     ``time_derivative``, ``laplacian`` scalar-shaped, ``gradient`` shaped
-    ``(3, n, n, n)``.
+    ``(3, n, n, n)``.  All four vanish outside the ball ``support = (center, radius)``
+    if one is known; then they also take a box of cells (``cell_box``) after ``t``.
     """
 
-    value: Callable[[Grid, float], np.ndarray]
-    time_derivative: Callable[[Grid, float], np.ndarray]
-    gradient: Callable[[Grid, float], np.ndarray]
-    laplacian: Callable[[Grid, float], np.ndarray]
+    value: Callable[..., np.ndarray]
+    time_derivative: Callable[..., np.ndarray]
+    gradient: Callable[..., np.ndarray]
+    laplacian: Callable[..., np.ndarray]
+    support: tuple[Sequence[float], float] | None = None
 
 
 def smoothstep_down(s: np.ndarray) -> np.ndarray:
@@ -394,12 +400,14 @@ def cylinder_cutoff(
         raise ValueError("need t_zero < t_one")
     dr = r_outer - r_inner
     dt_ramp = t_one - t_zero
-    radial_cache: dict[Grid, tuple] = {}
+    radial_cache: dict[tuple, tuple] = {}
 
-    def radial_parts(grid):
-        """Time-independent radial factors, built once per grid."""
-        if grid not in radial_cache:
-            dx, dy, dz = _min_image(grid, center)
+    def radial_parts(grid, box):
+        """Time-independent radial factors on ``box``, built once per grid and box."""
+        key = (grid, *(index.tobytes() for index in box))
+        if key not in radial_cache:
+            displacements = zip(_min_image(grid, center), box)
+            dx, dy, dz = (d.take(index, axis=a) for a, (d, index) in enumerate(displacements))
             rho = np.sqrt(dx**2 + dy**2 + dz**2)
             d = np.stack(np.broadcast_arrays(dx, dy, dz))
             s = (rho - r_inner) / dr
@@ -410,8 +418,8 @@ def cylinder_cutoff(
             # radial laplacian R'' + 2 R'/rho; R' vanishes on the plateau so
             # the rho -> 0 limit is clean
             lap = R2 + 2.0 * R1 / safe
-            radial_cache[grid] = d, safe, R, R1, lap
-        return radial_cache[grid]
+            radial_cache[key] = d, safe, R, R1, lap
+        return radial_cache[key]
 
     def time_factor(t: float) -> float:
         return float(1.0 - smoothstep_down(np.asarray((t - t_zero) / dt_ramp)))
@@ -419,27 +427,26 @@ def cylinder_cutoff(
     def time_factor_d1(t: float) -> float:
         return float(-smoothstep_down_d1(np.asarray((t - t_zero) / dt_ramp)) / dt_ramp)
 
-    def value(grid, t):
-        _, _, R, _, _ = radial_parts(grid)
-        return R * time_factor(t)
+    def on_box(part):
+        """``part(t, *radial_parts)`` on a box; without one, on the grid, 0 outside ``r_outer``."""
 
-    def time_derivative(grid, t):
-        _, _, R, _, _ = radial_parts(grid)
-        return R * time_factor_d1(t)
+        def evaluate(grid, t, box=None):
+            support = cell_box(grid, center, r_outer) if box is None else box
+            values = part(t, *radial_parts(grid, support))
+            if box is not None:
+                return values
+            out = np.zeros((*values.shape[:-3], *grid.shape))
+            out[_cells(support)] = values
+            return out
 
-    def gradient(grid, t):
-        d, safe, _, R1, _ = radial_parts(grid)
-        return time_factor(t) * R1 * d / safe
-
-    def laplacian(grid, t):
-        _, _, _, _, lap = radial_parts(grid)
-        return time_factor(t) * lap
+        return evaluate
 
     return CutoffFunction(
-        value=value,
-        time_derivative=time_derivative,
-        gradient=gradient,
-        laplacian=laplacian,
+        value=on_box(lambda t, d, safe, R, R1, lap: R * time_factor(t)),
+        time_derivative=on_box(lambda t, d, safe, R, R1, lap: R * time_factor_d1(t)),
+        gradient=on_box(lambda t, d, safe, R, R1, lap: time_factor(t) * R1 * d / safe),
+        laplacian=on_box(lambda t, d, safe, R, R1, lap: time_factor(t) * lap),
+        support=(tuple(center), r_outer),
     )
 
 
@@ -510,8 +517,12 @@ def _balance_terms(result: SimulationResult, cutoff: CutoffFunction | None) -> d
 
     ``cutoff = None`` weighs by 1, whose derivatives vanish: ``transport`` and
     ``flux`` are then 0.0, and neither the cutoff nor the pressure is formed.
+    A cutoff's ``support`` is the box every per-cell array is formed on.
     """
     grid = result.grid
+    support = None if cutoff is None else cutoff.support
+    box = (np.arange(grid.n),) * 3 if support is None else cell_box(grid, *support)
+    cells = _cells(box)
     vol = grid.cell_volume
     nu = result.config.viscosity
     n_t = len(result.times)
@@ -520,19 +531,20 @@ def _balance_terms(result: SimulationResult, cutoff: CutoffFunction | None) -> d
     transport = np.zeros(n_t)  # int (|u|^2/2)(phi_t + nu lap phi)
     flux = np.zeros(n_t)  # int (u . grad phi)(|u|^2/2 + P)
     for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
-        phi = 1.0 if cutoff is None else cutoff.value(grid, t)
-        u2_half = 0.5 * sum(c.values**2 for c in u.components)
+        at = (grid, t) if support is None else (grid, t, box)
+        phi = 1.0 if cutoff is None else cutoff.value(*at)
+        values = [c.values[cells] for c in u.components]
+        u2_half = 0.5 * sum(v**2 for v in values)
         quadratic[idx] = np.sum(phi * u2_half) * vol
-        dissipation[idx] = nu * np.sum(phi * gradient_squares(u)) * vol
+        dissipation[idx] = nu * np.sum(phi * gradient_squares(u, box)) * vol
         if cutoff is None:
             continue
         transport[idx] = (
-            np.sum(u2_half * (cutoff.time_derivative(grid, t) + nu * cutoff.laplacian(grid, t)))
-            * vol
+            np.sum(u2_half * (cutoff.time_derivative(*at) + nu * cutoff.laplacian(*at))) * vol
         )
-        grad_phi = cutoff.gradient(grid, t)
-        advect = sum(c.values * grad_phi[i] for i, c in enumerate(u.components))
-        pressure = pressure_from_velocity(u, result.config.dealias_fraction).values
+        grad_phi = cutoff.gradient(*at)
+        advect = sum(v * grad_phi[i] for i, v in enumerate(values))
+        pressure = pressure_from_velocity(u, result.config.dealias_fraction, box=box)
         flux[idx] = np.sum(advect * (u2_half + pressure)) * vol
     return {
         "quadratic": quadratic,
@@ -552,16 +564,19 @@ def energy_budget(
 
     ``eta = None`` weighs by 1: the global balance.  Given ``cmap`` too,
     ``eta`` is first checked cell by cell to be 1 on the mapped ``Q_0`` and
-    0 outside the mapped ``Q_{-1}``.  The rate residual ``d/dt int phi
-    |u|^2/2 + nu int phi |grad u|^2 - int (|u|^2/2)(phi_t + nu Lap phi) -
-    int (u . grad phi)(|u|^2/2 + P)`` takes centered differences of
+    0 outside the mapped ``Q_{-1}``; ``cmap`` without ``eta`` is an error.
+    The rate residual ``d/dt int phi |u|^2/2 + nu int phi |grad u|^2 - int
+    (|u|^2/2)(phi_t + nu Lap phi) - int (u . grad phi)(|u|^2/2 + P)`` takes
+    centered differences of
     ``time_order`` (2 or 4; ``None`` is 4 from five snapshots on, else 2) on
     the interior snapshots, which must be uniformly spaced; the pressure is
     dealiased as the run was.  The slack ``int_{t_0}^{t} (transport + flux -
     dissipation) - [kinetic(t) - kinetic(t_0)]/2`` is nonnegative up to
     discretization for smooth runs.
     """
-    if eta is not None and cmap is not None:
+    if cmap is not None:
+        if eta is None:
+            raise ValueError("a cylinder map needs the cutoff eta, e.g. budget_cutoff(cmap)")
         _validate_support(result, eta, cmap)
     times = np.asarray(result.times)
     if time_order is None:

@@ -286,20 +286,23 @@ class _Block:
             np.fft.fft(columns[f], axis=1, out=columns[f])
         return self.gather(columns, out=out)
 
-    def inverse(self, block: np.ndarray) -> np.ndarray:
-        """Real values of the half spectrum ``scatter(block)``; inverse of :func:`_forward`.
+    def inverse(self, block: np.ndarray, box: tuple | None = None) -> np.ndarray:
+        """Values on ``box`` (:func:`cell_box`; ``None``: the grid) of ``scatter(block)``.
 
-        Unscaled ``ifft`` along x, then y, then ``irfft`` along z, skipping
-        lines that stay zero, one field of a batch at a time through line
-        buffers the call allocates once (one at fraction 1), so they die
-        with the call and a call allocates little beyond its result.
+        The inverse of :func:`_forward`, each cell with the whole grid's bits:
+        unscaled ``ifft`` along x, then y over the box's x rows, then ``irfft``
+        along z over its (x, y) lines, skipping lines that stay zero, one field
+        of a batch at a time through line buffers that die with the call.
         """
+        box = (np.arange(self.n),) * 3 if box is None else box
+        (bx, by, bz), (ix, iy, iz) = map(len, box), map(_axis_index, box)
         x_lines = np.zeros((self.n, self.shape[1], self.width), dtype=complex)
-        full = x_lines.shape == (self.n, self.n, self.half)
-        y_lines = x_lines if full else np.zeros((self.n, self.n, self.half), dtype=complex)
+        shared = x_lines.shape == (self.n, self.n, self.half) and isinstance(ix, slice)
+        y_lines = x_lines[ix] if shared else np.zeros((bx, self.n, self.half), dtype=complex)
         y_kept = y_lines[..., : self.width]
+        z_lines = None if bz == self.n else np.empty((bx, by, self.n))
         block = np.ascontiguousarray(block, dtype=np.complex128)
-        out = np.empty((*block.shape[:-3], self.n, self.n, self.n))
+        out = np.empty((*block.shape[:-3], bx, by, bz))
         for field in np.ndindex(block.shape[:-3]):
             if not block[field].view(np.uint64).any():
                 out[field] = 0.0
@@ -310,11 +313,14 @@ class _Block:
             for b, f in self._runs:
                 x_lines[f] = block[(*field, b)]
             np.fft.ifft(x_lines, axis=0, norm="forward", out=x_lines)
-            if y_lines is not x_lines:
+            if not shared:
                 for b, f in self._runs:
-                    y_kept[:, f] = x_lines[:, b]
+                    y_kept[:, f] = x_lines[ix, b]
             np.fft.ifft(y_kept, axis=1, norm="forward", out=y_kept)
-            np.fft.irfft(y_lines, n=self.n, axis=2, norm="forward", out=out[field])
+            z = out[field] if z_lines is None else z_lines
+            np.fft.irfft(y_lines[:, iy], n=self.n, axis=2, norm="forward", out=z)
+            if z_lines is not None:
+                out[field] = z_lines[..., iz]
         return out
 
 
@@ -380,11 +386,11 @@ def _scalar_modes(field: ScalarField | SpectralField) -> tuple[Grid, np.ndarray]
     return field.grid, field.modes
 
 
-def _derivatives(grid: Grid, modes: np.ndarray):
-    """The three spectral first derivatives of scalar modes, one at a time."""
+def _derivatives(grid: Grid, modes: np.ndarray, box: tuple | None = None):
+    """The three spectral first derivatives of scalar modes on ``box``, one at a time."""
     half = _block(grid, 1.0)
     kx, ky, kz, _ = half.symbols
-    return (half.inverse(1j * k * modes) for k in (kx, ky, kz))
+    return (half.inverse(1j * k * modes, box) for k in (kx, ky, kz))
 
 
 def gradient(field: ScalarField | SpectralField) -> VectorField:
@@ -393,18 +399,19 @@ def gradient(field: ScalarField | SpectralField) -> VectorField:
     return VectorField.from_arrays(grid, *_derivatives(grid, modes))
 
 
-def gradient_squares(f: ScalarField | VectorField) -> np.ndarray:
-    """Pointwise ``|grad f|^2``: every spectral first derivative squared and summed.
+def gradient_squares(f: ScalarField | VectorField, box: tuple | None = None) -> np.ndarray:
+    """Pointwise ``|grad f|^2`` on ``box`` (:func:`cell_box`; ``None``: the grid): every
+    spectral first derivative squared and summed, component by component, then x, y, z.
 
     A vector field gives the nine-derivative ``|grad u|^2``; a component
     with no nonzero value adds only ``+0`` and is skipped.
     """
-    total = np.zeros(f.grid.shape)
+    total = np.zeros(f.grid.shape if box is None else tuple(map(len, box)))
     for component in f.components if isinstance(f, VectorField) else (f,):
         if not component.values.any():
             continue
-        for part in _derivatives(f.grid, _forward(component.values)):
-            total += part**2
+        for part in _derivatives(f.grid, _forward(component.values), box):
+            total += np.square(part, out=part)
     return total
 
 
@@ -491,6 +498,27 @@ def _min_image(grid: Grid, center: Sequence[float]) -> tuple[np.ndarray, ...]:
     x = grid.axis_coordinates
     folded = [(x - c + half) % grid.length - half for c in center]
     return np.meshgrid(*folded, indexing="ij", sparse=True)
+
+
+def cell_box(grid: Grid, center: Sequence[float], radius: float) -> tuple[np.ndarray, ...]:
+    """Cells whose folded displacement from ``center`` is at most ``radius`` along each axis.
+
+    Three ascending index arrays, so a box that wraps still lists its cells
+    in the grid's row-major order; it holds ``ball_mask(grid, center, radius)``.
+    """
+    return tuple(np.flatnonzero(d**2 <= radius**2) for d in _min_image(grid, center))
+
+
+def _axis_index(index: np.ndarray) -> slice | np.ndarray:
+    """A slice where the ascending ``index`` is contiguous, so that it takes no copy."""
+    contiguous = index.size and index[-1] - index[0] == index.size - 1
+    return slice(int(index[0]), int(index[-1]) + 1) if contiguous else index
+
+
+def _cells(box: tuple) -> tuple:
+    """The index of the last three axes that selects ``box``: slices where every axis allows."""
+    axes = tuple(map(_axis_index, box))
+    return (..., *(axes if all(isinstance(a, slice) for a in axes) else np.ix_(*box)))
 
 
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:

@@ -196,14 +196,14 @@ def spectral_divergence_defect(grid: Grid, modes: np.ndarray) -> float:
 def _product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np.ndarray:
     """The ``block`` of the half-spectrum transforms of the six distinct ``u_i u_j``, stacked.
 
-    ``u`` is the stacked ``(3, n, n, n)`` velocity; an optional pointwise
-    ``weight`` multiplies every product before its transform.  Each product
+    ``u`` is the three ``(n, n, n)`` velocity components, stacked or not; an
+    optional pointwise ``weight`` multiplies every product before its transform.  Each product
     is formed in one reused buffer and transformed alone, so only one
     product and its transform are live at a time; one with no nonzero value,
     such as one with the ``u_z`` of a 2-D flow, costs no transform (``_Block``).
     """
     out = np.empty((len(_PAIRS), *block.shape), dtype=np.complex128)
-    product = np.empty(u.shape[1:])
+    product = np.empty(u[0].shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (i, j) in enumerate(_PAIRS):
             np.multiply(u[i], u[j], out=product)
@@ -241,16 +241,17 @@ def nonlinear_term(grid: Grid, modes: np.ndarray, mask: np.ndarray) -> np.ndarra
 
 
 def pressure_from_velocity(
-    u: VectorField, dealias_fraction: float = 2.0 / 3.0, weight: np.ndarray | None = None
-) -> ScalarField:
+    u: VectorField, dealias_fraction: float = 2.0 / 3.0, weight: np.ndarray | None = None,
+    box: tuple | None = None,
+) -> ScalarField | np.ndarray:
     """Mean-zero spectral solve of ``-Lap P = div div (u (x) u)``.
 
     ``P^(k) = -(k_i k_j / |k|^2) (u_i u_j)^(k)``, solved on the modes the
-    dealias mask keeps; an optional pointwise ``weight`` multiplies the
-    tensor before the solve (used for the high/low pressure split).
+    dealias mask keeps; a pointwise ``weight`` multiplies the tensor before the
+    solve (the high/low split), and a ``box`` (``wlns.field.cell_box``) gives an array.
     """
     block = _block(u.grid, dealias_fraction)
-    products = _product_modes(u.as_array(), block, weight)
+    products = _product_modes([c.values for c in u.components], block, weight)
     *k, k2 = block.symbols
     phat = np.zeros(block.shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(_PAIRS):
@@ -258,7 +259,8 @@ def pressure_from_velocity(
         phat -= (k[i] * k[j] * (1.0 if i == j else 2.0)) * products[idx]
     phat /= k2
     phat[0, 0, 0] = 0.0
-    return ScalarField(u.grid, block.inverse(phat))
+    values = block.inverse(phat, box)
+    return values if box is not None else ScalarField(u.grid, values)
 
 
 def pressure_split(

@@ -17,7 +17,10 @@ bit for bit.  ``sample_scalar``,
 ``sample_vector``, ``hermitian_defect`` and ``gaussian_bump`` build test
 fields, check spectra and localize energy balances.  ``constant_one`` is
 the all-ones cutoff, whose balance ``energy_budget(result)`` must equal bit
-for bit without forming it.  ``run_python`` and
+for bit without forming it.  ``whole_grid_level_energy`` and
+``whole_grid_balance_terms`` are ``wlns.degiorgi``'s level energies and
+balance terms with every per-cell array on the whole grid, the oracles for
+the ones formed on their cylinder's box.  ``run_python`` and
 ``imported_modules`` run a fresh interpreter on this checkout and read the
 modules it imported.
 """
@@ -33,10 +36,16 @@ import numpy as np
 
 from wlns.field import (
     TWO_PI, Grid, ScalarField, SpectralField, VectorField, _block, _forward, _min_image,
+    ball_boundary_cells, ball_mask, gradient_squares,
 )
 from wlns.gronwall import _logaddexp1
-from wlns.degiorgi import CutoffFunction
-from wlns.nse_solver import _PAIR_INDEX, _PAIRS, _project, leray_project, nonlinear_term
+from wlns.degiorgi import (
+    CutoffFunction, LevelSetEnergy, _density, cylinder_radius, truncation_threshold,
+    truncation_time, window_times,
+)
+from wlns.nse_solver import (
+    _PAIR_INDEX, _PAIRS, _project, leray_project, nonlinear_term, pressure_from_velocity,
+)
 
 
 def reference_symbols(n: int, length: float):
@@ -255,6 +264,88 @@ def gaussian_bump(center: Sequence[float], width: float) -> CutoffFunction:
         gradient=gradient,
         laplacian=laplacian,
     )
+
+
+def whole_grid_level_energy(result, scheme, cmap) -> LevelSetEnergy:
+    """``level_energy`` with both gradients and ``|u|`` on the whole grid, masked to the balls."""
+    grid = result.grid
+    cmap.validate(grid)
+    s = cmap.scale
+    tau = window_times(result.times, scheme, cmap)
+    levels = np.array(scheme.levels)
+    windows = [(tau > truncation_time(k)) & (tau <= 1.0 + 1e-12) for k in levels]
+    # the balls shrink with k, so every one lies inside the k = 0 ball: a
+    # snapshot keeps only its values there, and each level indexes within them
+    radii = [cmap.sim_radius(cylinder_radius(k)) for k in levels]
+    outer = ball_mask(grid, cmap.center, radii[0])
+    inner = [ball_mask(grid, cmap.center, r)[outer] for r in radii]
+
+    sups, diss_series = [0.0] * len(levels), [[] for _ in levels]
+    for idx, u in enumerate(result.snapshots):
+        if not windows[0][idx]:  # the k = 0 window holds every other one
+            continue
+        m = u.magnitude()
+        magnitude = s * m.values[outer]
+        grads = s**4 * gradient_squares(u)[outer], s**4 * gradient_squares(m)[outer]
+        for k in levels:
+            if not windows[k][idx]:
+                continue
+            v = np.maximum(magnitude - truncation_threshold(k), 0.0)
+            sups[k] = max(
+                sups[k], 0.5 * s ** (-3) * float(np.sum(v[inner[k]] ** 2)) * grid.cell_volume
+            )
+            density = grads[0] if k == 0 else _density(k, magnitude, v, *grads)
+            diss_series[k].append(float(np.sum(density[inner[k]])) * grid.cell_volume)
+    # density is already the reference one; the time integral runs in
+    # tau, so only the volume element dxi = s^{-3} dx remains
+    diss = [float(np.trapezoid(d, tau[w])) * s ** (-3) for d, w in zip(diss_series, windows)]
+    surface = [ball_boundary_cells(grid, cmap.center, r) for r in radii]
+    return LevelSetEnergy(
+        k=levels,
+        window_start=truncation_time(levels),
+        radius=cylinder_radius(levels),
+        threshold=truncation_threshold(levels),
+        sup_term=np.array(sups),
+        diss_term=np.array(diss),
+        boundary_bracket=np.array(surface) * grid.cell_volume * s ** (-3),
+    )
+
+
+def whole_grid_balance_terms(result, cutoff: CutoffFunction | None) -> dict:
+    """``energy_budget``'s per-snapshot integrals with every per-cell array on the whole grid.
+
+    ``cutoff = None`` weighs by 1, whose derivatives vanish: ``transport`` and
+    ``flux`` are then 0.0, and neither the cutoff nor the pressure is formed.
+    """
+    grid = result.grid
+    vol = grid.cell_volume
+    nu = result.config.viscosity
+    n_t = len(result.times)
+    quadratic = np.empty(n_t)  # int phi |u|^2 / 2
+    dissipation = np.empty(n_t)  # nu int phi |grad u|^2
+    transport = np.zeros(n_t)  # int (|u|^2/2)(phi_t + nu lap phi)
+    flux = np.zeros(n_t)  # int (u . grad phi)(|u|^2/2 + P)
+    for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
+        phi = 1.0 if cutoff is None else cutoff.value(grid, t)
+        u2_half = 0.5 * sum(c.values**2 for c in u.components)
+        quadratic[idx] = np.sum(phi * u2_half) * vol
+        dissipation[idx] = nu * np.sum(phi * gradient_squares(u)) * vol
+        if cutoff is None:
+            continue
+        transport[idx] = (
+            np.sum(u2_half * (cutoff.time_derivative(grid, t) + nu * cutoff.laplacian(grid, t)))
+            * vol
+        )
+        grad_phi = cutoff.gradient(grid, t)
+        advect = sum(c.values * grad_phi[i] for i, c in enumerate(u.components))
+        pressure = pressure_from_velocity(u, result.config.dealias_fraction).values
+        flux[idx] = np.sum(advect * (u2_half + pressure)) * vol
+    return {
+        "quadratic": quadratic,
+        "dissipation": dissipation,
+        "transport": transport,
+        "flux": flux,
+    }
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -2,10 +2,17 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import constant_one, gaussian_bump, reference_symbols
+from conftest import (
+    constant_one,
+    gaussian_bump,
+    reference_symbols,
+    whole_grid_balance_terms,
+    whole_grid_level_energy,
+)
 
 from wlns.degiorgi import (
     CylinderMap,
@@ -25,7 +32,15 @@ from wlns.degiorgi import (
     window_times,
 )
 from wlns.degiorgi import _density
-from wlns.field import Grid, ScalarField, Trajectory, VectorField, ball_mask, gradient_squares
+from wlns.field import (
+    Grid,
+    ScalarField,
+    Trajectory,
+    VectorField,
+    ball_mask,
+    cell_box,
+    gradient_squares,
+)
 from wlns.nse_solver import (
     SimulationResult,
     SolverConfig,
@@ -552,6 +567,123 @@ class TestEnergyBudget:
         )
         with pytest.raises(ValueError, match="at least 3"):
             energy_budget(result)
+
+
+def recording_gradient_squares(monkeypatch):
+    """Shapes of every ``|grad f|^2`` that ``wlns.degiorgi`` forms from now on."""
+    shapes = []
+
+    def recording(f, box=None):
+        out = gradient_squares(f, box)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr("wlns.degiorgi.gradient_squares", recording)
+    return shapes
+
+
+class TestCylinderBox:
+    """The level energies and the cylinder budget are formed on their cylinder's box."""
+
+    @pytest.mark.parametrize("scale", [0.3, 0.4, 0.65])
+    @pytest.mark.parametrize(
+        "center", [(math.pi,) * 3, (0.1, 0.2, 6.0)], ids=["centred", "wrapping"]
+    )
+    def test_level_energy_matches_whole_grid_by_bytes(
+        self, strong_run_32, monkeypatch, center, scale
+    ):
+        result = strong_run_32
+        cmap = CylinderMap(center=center, scale=scale, t_end=float(result.times[-1]))
+        shapes = recording_gradient_squares(monkeypatch)
+        for k_max in (3, 8):
+            scheme = CylinderScheme(k_max)
+            want = whole_grid_level_energy(result, scheme, cmap)
+            assert np.count_nonzero(want.sup_term) >= 2
+            once = iter(result.snapshots)
+            for got in (
+                level_energy(result, scheme, cmap),
+                level_energy(Trajectory(result.grid, result.times, once), scheme, cmap),
+            ):
+                for name, column in vars(want).items():
+                    assert getattr(got, name).tobytes() == column.tobytes(), (k_max, name)
+            assert next(once, None) is None
+        # both gradients of every snapshot, each on the box of the mapped B(0)
+        box = tuple(map(len, cell_box(result.grid, center, cmap.sim_radius(1.0))))
+        assert shapes == [box] * (4 * 2 * len(result.times))
+        assert np.prod(box) < result.grid.n**3
+
+    @pytest.mark.parametrize("case", ["tg", "random", "random-wrapping"])
+    def test_cylinder_budget_series_match_whole_grid(
+        self, budget_run_32, strong_run_32, monkeypatch, case
+    ):
+        # the box sums add the same cells in another order: rounding only
+        result = budget_run_32 if case == "tg" else strong_run_32
+        center = (0.1, 0.2, 6.0) if case == "random-wrapping" else (math.pi,) * 3
+        cmap = CylinderMap(center=center, scale=0.3, t_end=float(result.times[-1]))
+        eta = budget_cutoff(cmap)
+        want = whole_grid_balance_terms(result, eta)
+        shapes = recording_gradient_squares(monkeypatch)
+        report = energy_budget(result, eta=eta, cmap=cmap)
+        scale = max(np.max(np.abs(report.kinetic)), np.max(np.abs(report.dissipation)))
+        got = {
+            "quadratic": 0.5 * report.kinetic,
+            "dissipation": report.dissipation,
+            "transport": report.transport,
+            "flux": report.flux,
+        }
+        for name, series in want.items():
+            assert np.max(np.abs(got[name] - series)) <= 1e-13 * scale, name
+        assert np.max(np.abs(report.flux)) > 0.0 and np.max(np.abs(report.transport)) > 0.0
+        box = tuple(map(len, cell_box(result.grid, *eta.support)))
+        assert shapes == [box] * len(result.times)
+        assert np.prod(box) < result.grid.n**3
+
+    @pytest.mark.parametrize("cutoff", ["none", "constant-one", "gaussian-bump"])
+    def test_whole_grid_budget_series_keep_their_bytes(
+        self, budget_run_16, budget_run_random, cutoff
+    ):
+        # a cutoff that records no support weighs on the whole grid, as before
+        eta = {
+            "none": None,
+            "constant-one": constant_one(),
+            "gaussian-bump": gaussian_bump((math.pi,) * 3, width=0.6),
+        }[cutoff]
+        for result in (budget_run_16, budget_run_random):
+            want = whole_grid_balance_terms(result, eta)
+            report = energy_budget(result, eta=eta)
+            assert report.kinetic.tobytes() == (2.0 * want["quadratic"]).tobytes()
+            for name in ("dissipation", "transport", "flux"):
+                assert getattr(report, name).tobytes() == want[name].tobytes(), name
+
+    def test_cylinder_budget_memory(self, budget_run_32):
+        """A cylinder budget on a 32^3 Taylor-Green run allocates under 2.5 MiB at once.
+
+        Every per-cell array lives on the 15^3 box of the cutoff's support
+        (the call peaks near 1.6 MiB); forming them on the whole grid peaked
+        at 5.6 MiB.
+        """
+        short = dataclasses.replace(
+            budget_run_32, times=budget_run_32.times[-5:], snapshots=budget_run_32.snapshots[-5:]
+        )
+        energy_budget(short, eta=budget_cutoff(BUDGET_MAP), cmap=BUDGET_MAP)  # builds the blocks
+        eta = budget_cutoff(BUDGET_MAP)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            energy_budget(budget_run_32, eta=eta, cmap=BUDGET_MAP)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
+    def test_cylinder_map_without_cutoff_is_refused(self, budget_run_16):
+        def unread():
+            raise AssertionError("a snapshot was read")
+            yield
+
+        result = dataclasses.replace(budget_run_16, snapshots=unread())
+        with pytest.raises(ValueError, match="eta"):
+            energy_budget(result, cmap=BUDGET_MAP)
 
 
 class TestRecursiveSequence:

@@ -13,6 +13,7 @@ from wlns.field import (
     SpectralField,
     VectorField,
     ball_mask,
+    cell_box,
     divergence,
     forward_transform,
     gradient,
@@ -321,6 +322,67 @@ class TestKeptBlock:
         assert alive() is None
         assert not any(isinstance(part, Grid) for key in _BLOCKS for part in key)
         assert _block(Grid(n=8, length=3.25), 0.5) is block
+
+
+def box_cases(grid):
+    """``(name, box)``: centred, wrapping across each face and all three, one cell, whole grid."""
+    L, h = grid.length, grid.spacing
+    mid, r = L / 2.0, 0.2 * L
+    return [
+        ("centred", cell_box(grid, (mid, mid, mid), r)),
+        ("wrap-x", cell_box(grid, (0.5 * h, mid, mid), r)),
+        ("wrap-y", cell_box(grid, (mid, L - 0.5 * h, mid), r)),
+        ("wrap-z", cell_box(grid, (mid, mid, 0.1), r)),
+        ("wrap-xyz", cell_box(grid, (0.1, 0.2, 6.0 % L), r)),
+        ("one-cell", cell_box(grid, (3 * h, 2 * h, h), 0.25 * h)),
+        ("whole", cell_box(grid, (mid, mid, mid), L)),
+    ]
+
+
+class TestCellBox:
+    """A box of cells gets the bytes of the whole grid's inverse, restricted to it."""
+
+    @pytest.mark.parametrize("n", range(8, 65, 2))
+    def test_box_inverse_is_the_restricted_whole_inverse(self, n):
+        grid = Grid(n=n)
+        rng = np.random.default_rng(n)
+        for fraction in (0.5, 2.0 / 3.0, 1.0):
+            block = _block(grid, fraction)
+            shape = (2, *block.shape)
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            whole = block.inverse(b)
+            for name, box in box_cases(grid):
+                got = block.inverse(b, box)
+                want = whole[(..., *np.ix_(*box))]
+                assert got.shape == want.shape, (fraction, name)
+                assert got.tobytes() == want.tobytes(), (fraction, name)
+
+    def test_boxes_hold_their_balls_in_row_major_order(self):
+        grid = Grid(n=16)
+        cases = dict(box_cases(grid))
+        assert [len(i) for i in cases["one-cell"]] == [1, 1, 1]
+        assert all(np.array_equal(i, np.arange(16)) for i in cases["whole"])
+        assert min(map(len, cases["wrap-xyz"])) < 16
+        for center in ((np.pi,) * 3, (0.1, 0.2, 6.0), (0.0, 0.0, 0.0)):
+            for radius in (0.3, 1.35, 2.0):
+                box = cell_box(grid, center, radius)
+                assert all(np.all(np.diff(i) > 0) for i in box)
+                inside = np.zeros(grid.shape, dtype=bool)
+                inside[np.ix_(*box)] = True
+                ball = ball_mask(grid, center, radius)
+                assert np.all(inside[ball])
+                # masking the box lists the ball's cells as masking the grid does
+                values = np.arange(grid.n**3, dtype=float).reshape(grid.shape)
+                assert np.array_equal(values[np.ix_(*box)][ball[np.ix_(*box)]], values[ball])
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_gradient_squares_on_a_box(self, n):
+        grid = Grid(n=n)
+        for u in (random_vector(grid, seed=n), stream_flow(grid, seed=n), random_scalar(grid)):
+            whole = gradient_squares(u)
+            for name, box in box_cases(grid):
+                got = gradient_squares(u, box)
+                assert got.tobytes() == whole[np.ix_(*box)].tobytes(), name
 
 
 class TestRescale:

@@ -22,6 +22,7 @@ from wlns.field import (
     ScalarField,
     SpectralField,
     VectorField,
+    cell_box,
     forward_transform,
     gradient,
     laplacian,
@@ -296,6 +297,16 @@ class TestPressure:
             got, want = [pressure_from_velocity(u).values], [solve(None)]
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_pressure_on_a_box_is_the_restricted_pressure(self, fraction):
+        grid = Grid(n=24)
+        u = random_divfree(grid, seed=5, amplitude=2.0)
+        whole = pressure_from_velocity(u, fraction).values
+        for center in ((np.pi,) * 3, (0.1, 0.2, 6.0)):
+            box = cell_box(grid, center, 1.3)
+            got = pressure_from_velocity(u, fraction, box=box)
+            assert got.tobytes() == whole[np.ix_(*box)].tobytes()
 
 
 class TestStepping:
@@ -871,6 +882,26 @@ class TestCutoffs:
         # second-order FD against the closed form; h^2 * |phi'''| ~ 2e-2
         assert np.max(np.abs(fd - exact)) < 2.5e-2
         assert np.max(np.abs(exact)) > 0.5  # the comparison is not vacuous
+
+
+    @pytest.mark.parametrize(
+        "center", [(np.pi,) * 3, (0.1, 0.2, 6.0)], ids=["centred", "wrapping"]
+    )
+    def test_cylinder_cutoff_on_its_support_box(self, center):
+        # on its box every part keeps the bits of the whole grid's, and the
+        # whole grid holds nothing but zeros outside that box
+        grid = Grid(n=32)
+        cut = cylinder_cutoff(center, r_inner=0.6, r_outer=1.4, t_zero=0.0, t_one=0.5)
+        assert cut.support == (center, 1.4)
+        box = cell_box(grid, center, 1.4)
+        outside = np.ones(grid.shape, dtype=bool)
+        outside[np.ix_(*box)] = False
+        for t in (0.25, 0.4):  # inside the ramp, where no part vanishes
+            for part in (cut.value, cut.time_derivative, cut.gradient, cut.laplacian):
+                whole, on_box = part(grid, t), part(grid, t, box)
+                assert on_box.tobytes() == whole[(..., *np.ix_(*box))].tobytes()
+                assert np.all(whole[..., outside] == 0.0)
+                assert np.any(on_box != 0.0)
 
 
 class TestEnergyResidual:
