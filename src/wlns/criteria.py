@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from wlns.field import ScalarField, VectorField, write_table
+from wlns.field import VectorField, write_table
 from wlns.gronwall import psi
-from wlns.lorentz import DistributionFunction, lebesgue_norm, weak_norm
+from wlns.lorentz import DistributionFunction, lebesgue_norm
 
 E = math.e
 
@@ -95,17 +95,10 @@ def integrand_weaklog(sup_norm: float, weak_q: float, p: float) -> float:
     return _power(weak_q, p) / (E + math.log(E + sup_norm))
 
 
-def damped_magnitude(m: ScalarField | np.ndarray):
+def damped_magnitude(m: np.ndarray) -> np.ndarray:
     """Pointwise ``|u| / (e + log(e + |u|))``."""
-    if isinstance(m, ScalarField):
-        return ScalarField(m.grid, damped_magnitude(m.values))
     m = np.abs(np.asarray(m, dtype=np.float64))
     return m / (E + np.log(E + m))
-
-
-def integrand_remark(m: ScalarField, q: float, p: float) -> float:
-    """Weak-``q`` norm of the damped magnitude, raised to ``p``."""
-    return _power(weak_norm(damped_magnitude(m), q).value, p)
 
 
 @dataclass(frozen=True)

@@ -533,7 +533,7 @@ def _balance_terms(result: SimulationResult, cutoff: CutoffFunction | None) -> d
     for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
         at = (grid, t) if support is None else (grid, t, box)
         phi = 1.0 if cutoff is None else cutoff.value(*at)
-        values = [c.values[cells] for c in u.components]
+        values = u.values[cells]
         u2_half = 0.5 * sum(v**2 for v in values)
         quadratic[idx] = np.sum(phi * u2_half) * vol
         dissipation[idx] = nu * np.sum(phi * gradient_squares(u, box)) * vol

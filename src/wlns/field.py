@@ -135,40 +135,32 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Velocity-style field with three scalar components."""
+    """Velocity-style field: its components as one C-contiguous ``(3, n, n, n)`` array.
+
+    Any other layout is copied into one, so every later sum runs in one order.
+    """
 
     grid: Grid
-    u1: ScalarField
-    u2: ScalarField
-    u3: ScalarField
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        for c in (self.u1, self.u2, self.u3):
-            if c.grid != self.grid:
-                raise ValueError("vector components live on different grids")
+        n = self.grid.n
+        v = np.ascontiguousarray(_check_values(self.grid, self.values, (3, n, n, n)))
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_arrays(cls, grid: Grid, u1, u2, u3) -> "VectorField":
-        return cls(
-            grid,
-            ScalarField(grid, u1),
-            ScalarField(grid, u2),
-            ScalarField(grid, u3),
-        )
-
-    @property
-    def components(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        return (self.u1, self.u2, self.u3)
+        return cls(grid, np.stack((u1, u2, u3)))
 
     def as_array(self) -> np.ndarray:
-        """Stacked ``(3, n, n, n)`` copy of the component values."""
-        return np.stack([c.values for c in self.components])
+        """The field's own ``(3, n, n, n)`` array, ``values`` itself: no copy."""
+        return self.values
 
     def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, np.sqrt(sum(c.values**2 for c in self.components)))
+        return ScalarField(self.grid, np.sqrt(sum(v**2 for v in self.values)))
 
     def max_abs(self) -> float:
-        return float(np.sqrt(sum(c.values**2 for c in self.components)).max())
+        return float(np.sqrt(sum(v**2 for v in self.values)).max())
 
 
 def _band_mask(mode_numbers: np.ndarray, max_mode: float, width: int | None = None) -> np.ndarray:
@@ -361,8 +353,6 @@ class SpectralField:
 
 def forward_transform(field: ScalarField | VectorField) -> SpectralField:
     """Half-spectrum transform of a physical field; modes are normalised by ``n**3``."""
-    if isinstance(field, VectorField):
-        return SpectralField(field.grid, _forward(field.as_array()))
     return SpectralField(field.grid, _forward(field.values))
 
 
@@ -373,9 +363,7 @@ def inverse_transform(spec: SpectralField) -> ScalarField | VectorField:
     ``f`` to machine precision.
     """
     values = _block(spec.grid, 1.0).inverse(spec.modes)
-    if spec.is_vector:
-        return VectorField.from_arrays(spec.grid, *values)
-    return ScalarField(spec.grid, values)
+    return (VectorField if spec.is_vector else ScalarField)(spec.grid, values)
 
 
 def _scalar_modes(field: ScalarField | SpectralField) -> tuple[Grid, np.ndarray]:
@@ -407,10 +395,10 @@ def gradient_squares(f: ScalarField | VectorField, box: tuple | None = None) -> 
     with no nonzero value adds only ``+0`` and is skipped.
     """
     total = np.zeros(f.grid.shape if box is None else tuple(map(len, box)))
-    for component in f.components if isinstance(f, VectorField) else (f,):
-        if not component.values.any():
+    for component in f.values.reshape(-1, *f.grid.shape):
+        if not component.any():
             continue
-        for part in _derivatives(f.grid, _forward(component.values), box):
+        for part in _derivatives(f.grid, _forward(component), box):
             total += np.square(part, out=part)
     return total
 
@@ -451,6 +439,8 @@ def rescale(
     points must land back on the grid); anything else needs the closed
     form, see :func:`rescale_profile`.
     """
+    if not -np.inf < eps < np.inf:
+        raise ValueError(f"eps must be finite, got {eps}")
     if abs(eps - round(eps)) > 1e-12 or round(eps) < 1:
         raise ValueError(
             "grid fields rescale only by positive integer factors; "
@@ -459,16 +449,8 @@ def rescale(
     factor = int(round(eps))
     grid = field.grid
     i0 = grid.index_of(center)
-    idx = [(i0[a] + factor * np.arange(grid.n)) % grid.n for a in range(3)]
-
-    def zoom(values: np.ndarray) -> np.ndarray:
-        return factor * values[np.ix_(idx[0], idx[1], idx[2])]
-
-    if isinstance(field, VectorField):
-        return VectorField.from_arrays(
-            grid, *[zoom(c.values) for c in field.components]
-        )
-    return ScalarField(grid, zoom(field.values))
+    idx = [(i0[a] + factor % grid.n * np.arange(grid.n)) % grid.n for a in range(3)]
+    return type(field)(grid, float(factor) * field.values[(..., *np.ix_(*idx))])
 
 
 def rescale_profile(
@@ -554,8 +536,8 @@ def write_snapshot(path, time: float, u: VectorField) -> None:
         with open(partial, "wb") as fh:
             head = (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, u.grid.n, u.grid.length, float(time), 3)
             fh.write(_HEADER.pack(*head))
-            for f in u.components:
-                payload = np.ascontiguousarray(f.values.ravel(order="F"), dtype="<f8")
+            for values in u.values:
+                payload = np.ascontiguousarray(values.ravel(order="F"), dtype="<f8")
                 fh.write(payload.tobytes())
         os.replace(partial, path)
     except BaseException:
@@ -588,13 +570,12 @@ def read_snapshot_header(path) -> tuple[float, Grid]:
 def read_vector_snapshot(path) -> tuple[float, VectorField]:
     time, grid = read_snapshot_header(path)
     n = grid.n
+    values = np.empty((3, n, n, n))
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
-        fields = []
-        for _ in range(3):
-            values = np.frombuffer(fh.read(8 * n**3), dtype="<f8").reshape((n, n, n), order="F")
-            fields.append(ScalarField(grid, values.copy()))
-    return time, VectorField(grid, *fields)
+        for component in values:
+            component[...] = np.frombuffer(fh.read(8 * n**3), "<f8").reshape((n, n, n), order="F")
+    return time, VectorField(grid, values)
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,7 @@ def single_mode(
     direction = direction / norm
     x, y, z = grid.coordinates
     phase = np.cos(k[0] * x + k[1] * y + k[2] * z)
-    return VectorField.from_arrays(
-        grid, *(amplitude * direction[i] * phase for i in range(3))
-    )
+    return VectorField(grid, amplitude * direction[:, None, None, None] * phase)
 
 
 def random_divfree(
@@ -137,14 +135,11 @@ def random_divfree(
     rng = np.random.default_rng(seed)
     modes = _forward(np.stack([rng.normal(size=grid.shape) for _ in range(3)]))
     modes *= _band_mask(grid.mode_numbers, max_mode, modes.shape[-1])
-    modes = leray_project(grid, modes)
-    u = to_physical(grid, modes)
+    u = VectorField(grid, _block(grid, 1.0).inverse(leray_project(grid, modes)))
     peak = u.max_abs()
     if peak == 0.0:
         raise ValueError("degenerate random field")
-    return VectorField.from_arrays(
-        grid, *(c.values * (amplitude / peak) for c in u.components)
-    )
+    return VectorField(grid, u.values * (amplitude / peak))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +156,7 @@ _PAIR_INDEX = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 def to_spectral(u: VectorField) -> np.ndarray:
     """Half-spectrum ``(3, n, n, n//2+1)`` modes of a velocity field."""
-    return _forward(u.as_array())
-
-
-def to_physical(grid: Grid, modes: np.ndarray) -> VectorField:
-    return VectorField.from_arrays(grid, *_block(grid, 1.0).inverse(modes))
+    return _forward(u.values)
 
 
 def leray_project(grid: Grid, modes: np.ndarray) -> np.ndarray:
@@ -196,7 +187,7 @@ def spectral_divergence_defect(grid: Grid, modes: np.ndarray) -> float:
 def _product_modes(u: np.ndarray, block, weight: np.ndarray | None = None) -> np.ndarray:
     """The ``block`` of the half-spectrum transforms of the six distinct ``u_i u_j``, stacked.
 
-    ``u`` is the three ``(n, n, n)`` velocity components, stacked or not; an
+    ``u`` is the ``(3, n, n, n)`` velocity values; an
     optional pointwise ``weight`` multiplies every product before its transform.  Each product
     is formed in one reused buffer and transformed alone, so only one
     product and its transform are live at a time; one with no nonzero value,
@@ -251,7 +242,7 @@ def pressure_from_velocity(
     solve (the high/low split), and a ``box`` (``wlns.field.cell_box``) gives an array.
     """
     block = _block(u.grid, dealias_fraction)
-    products = _product_modes([c.values for c in u.components], block, weight)
+    products = _product_modes(u.values, block, weight)
     *k, k2 = block.symbols
     phat = np.zeros(block.shape, dtype=np.complex128)
     for idx, (i, j) in enumerate(_PAIRS):
@@ -308,7 +299,8 @@ class SolverState:
         return _block(self.grid, self.dealias_fraction).inverse(self.kept)
 
     def velocity(self) -> VectorField:
-        return VectorField.from_arrays(self.grid, *self.physical)
+        """The velocity whose values are ``physical`` itself, not a copy."""
+        return VectorField(self.grid, self.physical)
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
@@ -446,5 +438,5 @@ def run(
 
 def kinetic_energy(u: VectorField) -> float:
     """``(1/2) integral |u|^2 dx`` by the exact periodic trapezoid rule."""
-    total = sum(float(np.sum(c.values**2)) for c in u.components)
+    total = sum(float(np.sum(v**2)) for v in u.values)
     return 0.5 * total * u.grid.cell_volume

@@ -327,7 +327,7 @@ def whole_grid_balance_terms(result, cutoff: CutoffFunction | None) -> dict:
     flux = np.zeros(n_t)  # int (u . grad phi)(|u|^2/2 + P)
     for idx, (t, u) in enumerate(zip(result.times, result.snapshots)):
         phi = 1.0 if cutoff is None else cutoff.value(grid, t)
-        u2_half = 0.5 * sum(c.values**2 for c in u.components)
+        u2_half = 0.5 * sum(c**2 for c in u.values)
         quadratic[idx] = np.sum(phi * u2_half) * vol
         dissipation[idx] = nu * np.sum(phi * gradient_squares(u)) * vol
         if cutoff is None:
@@ -337,7 +337,7 @@ def whole_grid_balance_terms(result, cutoff: CutoffFunction | None) -> dict:
             * vol
         )
         grad_phi = cutoff.gradient(grid, t)
-        advect = sum(c.values * grad_phi[i] for i, c in enumerate(u.components))
+        advect = sum(c * grad_phi[i] for i, c in enumerate(u.values))
         pressure = pressure_from_velocity(u, result.config.dealias_fraction).values
         flux[idx] = np.sum(advect * (u2_half + pressure)) * vol
     return {

@@ -15,7 +15,6 @@ from wlns.criteria import (
     evaluate_row,
     holder_check,
     integrand_lps,
-    integrand_remark,
     integrand_weaklog,
     integrand_zhoulei,
     linfty_bound,
@@ -104,12 +103,12 @@ class TestIntegrands:
         grid = Grid(n=32, length=2 * np.pi)
         inside = np.zeros(grid.shape)
         inside[:16, :, :] = 2.0
-        m = ScalarField(grid, inside)
-        q, p = 6.0, 4.0
+        u = VectorField.from_arrays(grid, inside, np.zeros(grid.shape), np.zeros(grid.shape))
+        q, p = 6.0, 4.0  # evaluate_row raises to p = 2q/(q - 3)
         measure = grid.volume / 2.0
         damped = 2.0 / (E + math.log(E + 2.0))
         expected = (damped * measure ** (1.0 / q)) ** p
-        assert integrand_remark(m, q, p) == pytest.approx(expected, rel=1e-12)
+        assert evaluate_row(u, q, t=0.0).i_remark == pytest.approx(expected, rel=1e-12)
 
     def test_damped_magnitude_below_original(self):
         rng = np.random.default_rng(3)

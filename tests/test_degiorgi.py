@@ -237,7 +237,7 @@ class TestLevelEnergy:
         # (log2(1/(1 - 0.54)) ~ 1.12), while k = 0, 1 stay positive.
         grid = Grid(32)
         tg = taylor_green(grid)
-        u = VectorField.from_arrays(grid, *(0.9 * c.values for c in tg.components))
+        u = VectorField.from_arrays(grid, *(0.9 * c for c in tg.values))
         cmap = CylinderMap(center=(math.pi, math.pi / 2, math.pi), scale=0.6, t_end=1.0)
         table = level_energy(synthetic_trajectory(grid, u, cmap), CylinderScheme(4), cmap)
 

@@ -36,7 +36,7 @@ def random_scalar(grid, seed=0, scale=1.0):
 
 
 def random_vector(grid, seed=0):
-    return VectorField(grid, *(random_scalar(grid, seed + i) for i in range(3)))
+    return VectorField.from_arrays(grid, *(random_scalar(grid, seed + i).values for i in range(3)))
 
 
 class TestGrid:
@@ -64,6 +64,30 @@ class TestGrid:
         m = g.mode_numbers
         for i in range(12):
             assert keep[i, 0, 0] == (abs(m[i]) <= 4)
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("shape", [(3, 8, 8, 6), (8, 8, 8), (2, 8, 8, 8), (3, 16, 16, 16)])
+    def test_rejects_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            VectorField(Grid(n=8), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_value(self, bad):
+        values = np.zeros((3, 8, 8, 8))
+        values[2, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            VectorField(Grid(n=8), values)
+
+    def test_holds_one_contiguous_array(self):
+        u = random_vector(Grid(n=8), 4)
+        assert u.as_array() is u.values
+        assert u.values.dtype == np.float64 and u.values.flags.c_contiguous
+        # a C-contiguous float64 array is kept; any other layout is copied into one
+        assert VectorField(u.grid, u.values).values is u.values
+        strided = np.zeros((3, 16, 8, 8))[:, ::2]
+        held = VectorField(u.grid, strided).values
+        assert held.flags.c_contiguous and np.array_equal(held, strided)
 
 
 class TestTransforms:
@@ -129,9 +153,9 @@ class TestDerivatives:
         f = sample_scalar(g, lambda X, Y, Z: np.sin(X))
         grad = gradient(f)
         X = g.coordinates[0]
-        assert np.abs(grad.u1.values - np.cos(X)).max() < 1e-12
-        assert np.abs(grad.u2.values).max() < 1e-13
-        assert np.abs(grad.u3.values).max() < 1e-13
+        assert np.abs(grad.values[0] - np.cos(X)).max() < 1e-12
+        assert np.abs(grad.values[1]).max() < 1e-13
+        assert np.abs(grad.values[2]).max() < 1e-13
 
     def test_laplacian_of_sine(self):
         g = Grid(n=32)
@@ -211,8 +235,8 @@ class TestFieldCalculusOracle:
         u = stream_flow(grid, seed=2)
         kx, ky, kz, _ = _block(grid, 1.0).symbols
         want = np.zeros(grid.shape)
-        for component in u.components:
-            modes = scipy.fft.rfftn(component.values, norm="forward")
+        for component in u.values:
+            modes = scipy.fft.rfftn(component, norm="forward")
             for k in (kx, ky, kz):
                 want += scipy.fft.irfftn(1j * k * modes, s=grid.shape, norm="forward") ** 2
         assert gradient_squares(u).tobytes() == want.tobytes()
@@ -411,6 +435,23 @@ class TestRescale:
         with pytest.raises(ValueError):
             rescale(random_scalar(g), 2, center=(0.1234, 0.0, 0.0))
 
+    @pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_factor(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            rescale(random_scalar(Grid(n=8)), eps)
+
+    @pytest.mark.parametrize("eps", [1e300, 2.0**70, 8 * 10**30 + 3])
+    def test_huge_integer_factor(self, eps):
+        # the stretched index i0 + factor * j is taken mod n, so it cannot overflow
+        g = Grid(n=8)
+        f, v = random_scalar(g, 5), random_vector(g, 6)
+        c = 3 * g.spacing
+        idx = (3 + (int(eps) % g.n) * np.arange(g.n)) % g.n
+        cells = np.ix_(idx, idx, idx)
+        assert np.array_equal(rescale(f, eps, (c, c, c)).values, float(eps) * f.values[cells])
+        got = rescale(v, eps, (c, c, c)).values
+        assert np.array_equal(got, float(eps) * v.values[(..., *cells)])
+
     def test_profile_composition(self):
         # two zooms about the origin compose into one with the product factor
         def prof(X, Y, Z):
@@ -436,8 +477,8 @@ class TestRescale:
                 2 * np.sin(c + 2 * Z),
             ),
         )
-        for got, want in zip(out.components, expected.components):
-            assert np.abs(got.values - want.values).max() < 1e-12
+        for got, want in zip(out.values, expected.values):
+            assert np.abs(got - want).max() < 1e-12
 
 
 class TestSnapshots:
@@ -451,8 +492,15 @@ class TestSnapshots:
         time, back = read_vector_snapshot(path)
         assert time == 0.125
         assert back.grid == g
-        for a, b in zip(back.components, v.components):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip(back.values, v.values):
+            assert np.array_equal(a, b)
+
+    def test_read_gives_one_contiguous_array(self, tmp_path):
+        path = tmp_path / "snap.wlns"
+        write_snapshot(path, 0.0, random_vector(Grid(n=8), 2))
+        values = read_vector_snapshot(path)[1].values
+        assert values.shape == (3, 8, 8, 8) and values.dtype == np.float64
+        assert values.flags.c_contiguous
 
     def test_payload_is_x_fastest(self, tmp_path):
         g = Grid(n=8)
