@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "field": (
         "Grid", "ScalarField", "VectorField", "SpectralField", "Trajectory",
-        "forward_transform", "inverse_transform", "gradient", "divergence", "laplacian",
-        "rescale", "ball_mask", "write_snapshot", "read_vector_snapshot",
+        "forward_transform", "inverse_transform", "rescale", "ball_mask", "write_snapshot",
+        "read_vector_snapshot",
     ),
     "lorentz": (
         "DistributionFunction", "NormReport", "distribution", "weak_norm", "lebesgue_norm",

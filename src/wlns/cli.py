@@ -2,9 +2,9 @@
 
 One executable, five subcommands, INI configs for the solver, CSV + JSON
 manifest outputs.  Exit codes: 0 on success, 1 for usage/config problems
-(malformed files report the offending line), 2 when a run halts on
-blow-up, overflow, an interrupt, SIGTERM or running out of memory (partial
-outputs are still flushed).
+(malformed or unreadable files report the offending line or the reason), 2
+when a run halts on blow-up, overflow, an interrupt, SIGTERM, running out of
+memory or a failed snapshot write (partial outputs are still flushed).
 """
 
 from __future__ import annotations
@@ -239,9 +239,11 @@ def _cmd_simulate(args) -> int:
 
     def sink(t, u):
         if snaps:
-            name = f"{prefix}_{len(written):06d}.bin"
-            write_snapshot(manifest.out_dir / name, t, u)
-            written.append(manifest.output(name))
+            # named before the rename makes it visible, so no complete file goes
+            # unlisted; a file of an earlier run under that name goes first
+            written.append(manifest.out_dir / f"{prefix}_{len(written):06d}.bin")
+            written[-1].unlink(missing_ok=True)
+            write_snapshot(written[-1], t, u)
 
     # only the main thread may set a handler; the old one comes back after the run
     main_thread = threading.current_thread() is threading.main_thread()
@@ -255,9 +257,14 @@ def _cmd_simulate(args) -> int:
         manifest.halted, result = str(exc) or "interrupted", getattr(exc, "result", None)
     except MemoryError as exc:
         manifest.halted, result = "out of memory", getattr(exc, "result", None)
+    except OSError as exc:
+        manifest.halted, result = f"write failed: {exc}", getattr(exc, "result", None)
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
+    for path in written:
+        if path.exists():  # write_snapshot leaves each file complete or absent
+            manifest.output(path.name)
     if result is not None and result.trace is not None:
         result.trace.to_csv(manifest.output("trace.csv"))
     manifest.write()
@@ -286,7 +293,7 @@ def _cmd_diagnose(args) -> int:
     for p in paths:
         try:
             t, grid = read_snapshot_header(p)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(f"{p}: {exc}")
         if grids and grid != grids[0]:
             return _fail(f"{p}: grid {grid} differs from {grids[0]} of {paths[0]}")
@@ -320,7 +327,7 @@ def _cmd_diagnose(args) -> int:
         for t, p in zip(times, paths):
             try:
                 u = read_vector_snapshot(p)[1]
-            except ValueError as exc:
+            except (OSError, ValueError) as exc:
                 raise ValueError(f"{p}: {exc}") from None
             rows.append(evaluate_row(u, args.q, t=t))
             yield u

@@ -377,8 +377,8 @@ def run(
     recorded and ``result.snapshots`` stays empty, so memory does not grow
     with the trajectory.  Blow-up (a non-finite initial state, non-finite
     modes or ``max|u|`` past the threshold) raises :class:`BlowUpError`; it,
-    a ``KeyboardInterrupt`` and a ``MemoryError`` leave with the partial
-    result as their ``result`` attribute.
+    a ``KeyboardInterrupt``, a ``MemoryError`` and an ``OSError`` (a failed
+    write in ``sink``) leave with the partial result as their ``result`` attribute.
     """
     grid = u0.grid
     state = SolverState.from_velocity(u0, config)
@@ -430,7 +430,7 @@ def run(
                 record(state, u)
             if callback is not None:
                 callback(state)
-    except (BlowUpError, KeyboardInterrupt, MemoryError) as exc:
+    except (BlowUpError, KeyboardInterrupt, MemoryError, OSError) as exc:
         exc.result = partial()
         raise
     return partial()

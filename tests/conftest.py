@@ -3,6 +3,8 @@
 ``reference_symbols`` is the tests' one builder of full-spectrum symbols,
 straight from ``np.fft.fftfreq`` and independent of ``wlns.field``; the
 numpy-FFT oracles in the test modules import it from here.
+``numpy_spectral_gradient`` is the tests' one numpy derivative, and
+``poisson_defect`` the pressure equation's residual built on it.
 ``masked_step`` is the solver's RK4 step on the whole half spectrum, the
 oracle for the step on the kept block.  ``batched_product_modes`` is
 the six quadratic products transformed as one stack, the oracle for the
@@ -22,7 +24,9 @@ for bit without forming it.  ``whole_grid_level_energy`` and
 balance terms with every per-cell array on the whole grid, the oracles for
 the ones formed on their cylinder's box.  ``run_python`` and
 ``imported_modules`` run a fresh interpreter on this checkout and read the
-modules it imported.
+modules it imported.  The ``fail_replace`` fixture makes a chosen
+``os.replace``, the call by which ``write_snapshot`` makes a snapshot
+visible, raise a chosen exception before or after its rename.
 """
 
 import math
@@ -33,6 +37,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+import pytest
 
 from wlns.field import (
     TWO_PI, Grid, ScalarField, SpectralField, VectorField, _block, _forward, _min_image,
@@ -61,6 +66,31 @@ def reference_symbols(n: int, length: float):
     zeroed = k1.copy()
     zeroed[n // 2] = 0.0
     return tuple(np.meshgrid(zeroed, zeroed, zeroed, indexing="ij")), k_squared
+
+
+def numpy_spectral_gradient(values: np.ndarray, length: float) -> list[np.ndarray]:
+    """Derivatives straight from numpy's FFT, bypassing the field helpers.
+
+    The unpaired highest mode of an even grid is dropped so that the
+    derivative of a real field stays real.
+    """
+    symbols, _ = reference_symbols(values.shape[0], length)
+    modes = np.fft.fftn(values)
+    return [np.real(np.fft.ifftn(1j * k * modes)) for k in symbols]
+
+
+def poisson_defect(u: VectorField, p: ScalarField) -> float:
+    """``max|Lap p + div div (u (x) u)|`` over ``max(1, max|div div (u (x) u)|)``, from numpy."""
+
+    def derivatives(values):
+        return numpy_spectral_gradient(values, u.grid.length)
+
+    def divergence(row):
+        return sum(derivatives(c)[j] for j, c in enumerate(row))
+
+    lhs = divergence(derivatives(p.values))
+    rhs = sum(derivatives(divergence(ui * u.values))[i] for i, ui in enumerate(u.values))
+    return float(np.max(np.abs(lhs + rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
 
 def masked_step(grid, modes, config):
@@ -367,3 +397,27 @@ def imported_modules(proc):
     """Module names from the ``-X importtime`` lines of a finished run."""
     # each -X importtime line ends in "| <module name>"
     return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+
+
+@pytest.fixture
+def fail_replace(monkeypatch):
+    """``fail_replace(exc, nth, after=False)``: the ``nth`` ``os.replace`` raises ``exc``.
+
+    It raises before the rename, or with ``after`` once the rename is done.
+    """
+    real = os.replace
+
+    def arm(exc: BaseException, nth: int, after: bool = False) -> None:
+        calls = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == nth and not after:
+                raise exc
+            real(src, dst)
+            if len(calls) == nth:
+                raise exc
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    return arm

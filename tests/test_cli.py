@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -45,10 +46,45 @@ write_snapshots = false
 """
 
 
+# five Taylor-Green snapshots named tg_*.bin, for the runs that halt while writing one
+HALTING_CFG = """\
+[solver]
+n = 16
+dt = 1e-3
+t_end = 0.01
+snapshot_every = 2
+initial_condition = taylor_green
+
+[diagnostics]
+q = 6.0
+
+[output]
+prefix = tg
+"""
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def checked_outputs(out):
+    """The manifest and its listed names, once the invariant of every halt holds.
+
+    Each listed sha256 and size match the file, the listed snapshots are
+    exactly the ``tg_*.bin`` files on disk, and no ``.partial`` file is left.
+    """
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = [entry["path"] for entry in manifest["outputs"]]
+    for entry in manifest["outputs"]:
+        data = (out / entry["path"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+        assert len(data) == entry["bytes"]
+    on_disk = sorted(path.name for path in out.glob("tg_*.bin"))
+    assert sorted(name for name in listed if name.endswith(".bin")) == on_disk
+    assert not list(out.glob("*.partial"))
+    return manifest, listed
 
 
 @pytest.fixture(scope="module")
@@ -152,18 +188,12 @@ class TestSimulate:
                 proc.wait()
         assert proc.returncode == 2, err
         assert f"halted: {halted}" in err
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest, listed = checked_outputs(out)
         assert manifest["halted"] == halted
-        listed = [entry["path"] for entry in manifest["outputs"]]
         assert "trace.csv" in listed
-        for entry in manifest["outputs"]:
-            data = (out / entry["path"]).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
-            assert len(data) == entry["bytes"]
         snapshots = sorted(name for name in listed if name.endswith(".bin"))
         assert len(snapshots) >= 3
         assert snapshots == [f"tg_{i:06d}.bin" for i in range(len(snapshots))]
-        assert not list(out.glob("*.partial"))
         times = [read_vector_snapshot(out / name)[0] for name in snapshots]
         assert times == pytest.approx([0.02 * i for i in range(len(snapshots))], abs=1e-12)
         trace = CriterionTrace.from_csv(out / "trace.csv", q=6.0)
@@ -205,27 +235,52 @@ class TestSimulate:
             write_snapshot(path, t, u)
 
         monkeypatch.setattr(wlns.field, "write_snapshot", failing_write)
-        cfg = write_config(
-            tmp_path,
-            "[solver]\nn = 16\ndt = 1e-3\nt_end = 0.01\nsnapshot_every = 2\n"
-            "initial_condition = taylor_green\n\n[diagnostics]\nq = 6.0\n\n"
-            "[output]\nprefix = tg\n",
-        )
         out = tmp_path / "out"
-        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert main(["simulate", str(write_config(tmp_path, HALTING_CFG)), "--out", str(out)]) == 2
         assert "halted: out of memory" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest, listed = checked_outputs(out)
         assert manifest["halted"] == "out of memory"
-        listed = [entry["path"] for entry in manifest["outputs"]]
         assert sorted(listed) == ["tg_000000.bin", "tg_000001.bin", "trace.csv"]
-        for entry in manifest["outputs"]:
-            data = (out / entry["path"]).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
-            assert len(data) == entry["bytes"]
         times = [read_vector_snapshot(out / f"tg_{i:06d}.bin")[0] for i in range(2)]
         assert times == pytest.approx([0.0, 0.002], abs=1e-12)
         trace = CriterionTrace.from_csv(out / "trace.csv", q=6.0)
         assert list(trace.t) == times
+
+    @pytest.mark.parametrize(
+        "exc, after, halted, kept",
+        [
+            (KeyboardInterrupt(), True, "interrupted", 3),
+            (KeyboardInterrupt(), False, "interrupted", 2),
+            (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), False,
+             f"write failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}", 2),
+        ],
+        ids=["interrupt-after-rename", "interrupt-before-rename", "disk-full"],
+    )
+    def test_halt_in_third_snapshot_write_lists_what_is_on_disk(
+        self, tmp_path, capsys, fail_replace, exc, after, halted, kept
+    ):
+        fail_replace(exc, 3, after=after)
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, HALTING_CFG)), "--out", str(out)]) == 2
+        assert f"halted: {halted}" in capsys.readouterr().err
+        manifest, listed = checked_outputs(out)
+        assert manifest["halted"] == halted
+        assert sorted(listed) == [*(f"tg_{i:06d}.bin" for i in range(kept)), "trace.csv"]
+        times = [read_vector_snapshot(out / f"tg_{i:06d}.bin")[0] for i in range(kept)]
+        trace = CriterionTrace.from_csv(out / "trace.csv", q=6.0)
+        assert kept - 1 <= len(trace.t) <= kept
+        assert list(trace.t) == times[: len(trace.t)]
+
+    def test_rerun_lists_no_snapshot_of_an_earlier_run(self, tmp_path, fail_replace):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, HALTING_CFG)
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        fail_replace(KeyboardInterrupt(), 3)
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = sorted(entry["path"] for entry in manifest["outputs"])
+        assert listed == ["tg_000000.bin", "tg_000001.bin", "trace.csv"]
+        assert not (out / "tg_000002.bin").exists()
 
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[solver]\nn = 16\nthis is not a key value pair\n")
@@ -579,6 +634,15 @@ class TestDiagnose:
         err = capsys.readouterr().err
         message = "truncated snapshot payload" if defect == "truncated" else "trailing bytes"
         assert "tg_000007.bin" in err and message in err
+        assert not out.exists()
+
+    def test_unreadable_snapshot_rejected_before_output(self, taylor_green_run, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(taylor_green_run, snaps, ignore=shutil.ignore_patterns("*.csv", "*.json"))
+        (snaps / "zz.bin").mkdir()
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(snaps), "--q", "6.0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {snaps / 'zz.bin'}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("cylinders", [False, True])

@@ -9,7 +9,7 @@ import pytest
 from conftest import (
     constant_one,
     gaussian_bump,
-    reference_symbols,
+    numpy_spectral_gradient,
     whole_grid_balance_terms,
     whole_grid_level_energy,
 )
@@ -112,17 +112,6 @@ class TestCylinderGeometry:
         for center in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)):
             with pytest.raises(ValueError, match="center must be finite"):
                 CylinderMap(center=center, scale=0.3, t_end=1.0)
-
-
-def numpy_spectral_gradient(values: np.ndarray, length: float) -> list[np.ndarray]:
-    """Derivatives straight from numpy's FFT, bypassing the field helpers.
-
-    The unpaired highest mode of an even grid is dropped so that the
-    derivative of a real field stays real.
-    """
-    symbols, _ = reference_symbols(values.shape[0], length)
-    modes = np.fft.fftn(values)
-    return [np.real(np.fft.ifftn(1j * k * modes)) for k in symbols]
 
 
 def grid_density(u: VectorField, k: int) -> np.ndarray:
